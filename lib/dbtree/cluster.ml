@@ -426,12 +426,22 @@ let hist_snapshot t ~node ~pid =
 let hist_retire t ~node ~pid =
   if recording t then Registry.retire_copy t.hist ~node ~pid
 
-(* [pc_error] surfaced through the park path: the message waits for a
-   copy that can name a primary, and [route.no_members] counts it. *)
-let park_no_members t ~pid ~node msg =
-  Stats.tick t.ctr.route_no_members;
-  Store.add_pending t.stores.(pid) node msg;
-  event t ~pid Event.Park ~a:node ~b:(Msg.kind_id msg)
+(* Park a message at a node this processor holds no copy of yet; it is
+   re-sent locally by [unpark] once the copy is installed.  A
+   [no_members] park is [pc_error] surfaced through the same path: the
+   message waits for a copy that can name a primary, and
+   [route.no_members] counts it instead of [route.parked]. *)
+let park ?(no_members = false) t ~pid ~node msg =
+  Stats.tick (if no_members then t.ctr.route_no_members else t.ctr.route_parked);
+  event t ~pid Event.Park ~a:node ~b:(Msg.kind_id msg);
+  Store.add_pending t.stores.(pid) node msg
+
+let unpark t ~pid ~node =
+  match Store.take_pending t.stores.(pid) node with
+  | [] -> ()
+  | pending ->
+    event t ~pid Event.Unpark ~a:node ~b:(List.length pending);
+    List.iter (fun msg -> send t ~src:pid ~dst:pid msg) pending
 
 (* ------------------------------------------------------------------ *)
 (* Crash / restart recovery                                            *)

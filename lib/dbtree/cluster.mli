@@ -100,7 +100,7 @@ val members_for_range : t -> low:Bound.t -> high:Bound.t -> Msg.pid list
 
 (** An empty member set — reachable once the last copy-holder of a node
     can crash — is a typed error, surfaced through the park path
-    ({!park_no_members}) rather than an exception. *)
+    ({!park} with [~no_members:true]) rather than an exception. *)
 type pc_error = Empty_members
 
 val pc_of_members : Msg.pid list -> (Msg.pid, pc_error) result
@@ -111,10 +111,18 @@ val pc_of_members_exn : Msg.pid list -> Msg.pid
     partition and are structurally nonempty; raises [Invalid_argument]
     if that invariant is ever broken. *)
 
-val park_no_members : t -> pid:Msg.pid -> node:Msg.node_id -> Msg.t -> unit
-(** Surface {!pc_error} through the park path: buffer the message at the
-    node (it waits for a copy that can name a primary) and count it
-    under [route.no_members]. *)
+val park :
+  ?no_members:bool -> t -> pid:Msg.pid -> node:Msg.node_id -> Msg.t -> unit
+(** Buffer a message at a node processor [pid] holds no copy of yet,
+    count it under [route.parked] and trace an [Event.Park].  With
+    [~no_members:true] it surfaces {!pc_error} instead: the message
+    waits for a copy that can name a primary, counted under
+    [route.no_members]. *)
+
+val unpark : t -> pid:Msg.pid -> node:Msg.node_id -> unit
+(** Re-send locally, in arrival order, every message parked at [node] on
+    processor [pid], tracing one [Event.Unpark] that closes the parks;
+    a no-op when nothing is parked there. *)
 
 val send : t -> src:Msg.pid -> dst:Msg.pid -> Msg.t -> unit
 

@@ -63,12 +63,6 @@ let send_relay t ~src ~dst msg =
     end
   end
 
-let reply_op t ~src op result =
-  if op >= 0 then
-    match Opstate.find t.cl.Cluster.ops op with
-    | Some r -> send t ~src ~dst:r.Opstate.origin (Msg.Op_done { op; result })
-    | None -> Fmt.failwith "Fixed: reply for unknown op %d" op
-
 (* ------------------------------------------------------------------ *)
 (* Node-value manipulation                                             *)
 
@@ -79,13 +73,7 @@ let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
   let store = Cluster.store t.cl pid in
   let reply =
     match u with
-    | Msg.Upsert { op; value; _ } ->
-      Node.add_entry n key (Node.Data value);
-      Some (op, Msg.Inserted)
-    | Msg.Remove { op; _ } ->
-      let present = Entries.mem n.Node.entries key in
-      Node.remove_entry n key;
-      Some (op, Msg.Removed present)
+    | Msg.Upsert _ | Msg.Remove _ -> Kernel_core.apply_data n key u
     | Msg.Add_child { child; child_members } ->
       Node.add_entry n key (Node.Child child);
       Store.learn store child child_members;
@@ -96,47 +84,30 @@ let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
   Store.wrote store n.Node.id;
   reply
 
-let action_kind key (u : Msg.update) =
-  match u with
-  | Msg.Upsert _ | Msg.Add_child _ -> Action.Insert { key }
-  | Msg.Remove _ | Msg.Drop_child _ -> Action.Delete { key }
-
-(* Mark an update as already answered, for re-issue after history
-   rewriting: the client was answered when the initial action ran. *)
-let silence (u : Msg.update) =
-  match u with
-  | Msg.Upsert { value; _ } -> Msg.Upsert { op = -1; origin = 0; value }
-  | Msg.Remove _ -> Msg.Remove { op = -1; origin = 0 }
-  | Msg.Add_child _ | Msg.Drop_child _ -> u
+let find t pid node = Store.find (Cluster.store t.cl pid) node
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)
 
-let choose_member t members =
-  match members with
-  | [ m ] -> m
-  | ms ->
-    (* One [Rng.int] draw over the list length — the same draw [Rng.pick]
-       makes, without materialising an intermediate array per hop. *)
-    List.nth ms (Rng.int (Sim.rng t.cl.Cluster.sim) (List.length ms))
-
 (* Forward a routed action towards node [next]: locally when we hold a
    copy, otherwise to some member (any copy will do — that is the lazy
    win; the eager redirect to the PC happens at the target node). *)
-let forward ?authority t pid msg next =
+let forward t pid ~authority msg next =
   let store = Cluster.store t.cl pid in
   Stats.tick (ctr t).Cluster.route_hops;
   if Store.mem store next then send_local t pid msg
   else
     match Store.members_opt store next with
-    | Some members -> send t ~src:pid ~dst:(choose_member t members) msg
+    | Some members -> send t ~src:pid ~dst:(Kernel_core.choose_member t.cl members) msg
     | None when (config t).Config.transport <> Dbtree_sim.Net.Reliable ->
       (* Over the raw transport the relay carrying this hint may be lost
          outright, not merely late; recovering would absorb a violated
          delivery assumption.  Keep the strict lookup so E14's raw rows
          surface the broken invariant loudly. *)
-      send t ~src:pid ~dst:(choose_member t (Store.members_of store next)) msg
-    | None -> (
+      send t ~src:pid
+        ~dst:(Kernel_core.choose_member t.cl (Store.members_of store next))
+        msg
+    | None ->
       Stats.tick (ctr t).Cluster.route_lost_hint;
       (* Unknown location.  Member sets are static here, but the
          hint-carrying relay can lag the sibling snapshot that exposed
@@ -145,9 +116,8 @@ let forward ?authority t pid msg next =
          the PC of the node that referenced [next] — it learned every
          child and sibling it ever pointed to; without an authority,
          restart at the root. *)
-      match authority with
-      | Some a when a <> pid -> send t ~src:pid ~dst:a msg
-      | Some _ | None -> (
+      if authority <> pid then send t ~src:pid ~dst:authority msg
+      else begin
         match msg with
         | Msg.Route r ->
           if r.node = store.Store.root then
@@ -160,10 +130,62 @@ let forward ?authority t pid msg next =
         | Msg.Join_copy _ | Msg.Relay_member _ | Msg.Unjoin_request _ ->
           (* Only routed actions restart at the root; control traffic is
              addressed to a concrete processor and must never be lost. *)
-          Fmt.failwith "Fixed: cannot reroute %s" (Msg.kind msg)))
+          Fmt.failwith "Fixed: cannot reroute %s" (Msg.kind msg)
+      end
+
+let start_route t ~origin msg =
+  let store = Cluster.store t.cl origin in
+  let root = store.Store.root in
+  if Store.mem store root then send_local t origin msg
+  else
+    send t ~src:origin
+      ~dst:(Kernel_core.choose_member t.cl (Store.members_of store root))
+      msg
 
 (* ------------------------------------------------------------------ *)
-(* Splits and copy installation                                        *)
+(* Copy installation and root growth                                   *)
+
+let install_copy t pid ~snap ~pc ~members =
+  let node = Msg.node_of_snapshot snap in
+  ignore (Store.install (Cluster.store t.cl pid) ~node ~pc ~members);
+  Cluster.unpark t.cl ~pid ~node:node.Node.id
+
+let grow_root t pid ~old_root ~sep ~sib_id =
+  let store = Cluster.store t.cl pid in
+  let members = root_members t in
+  let root = Kernel_core.new_root t.cl pid ~old_root ~sep ~sib_id in
+  let id = root.Node.id in
+  List.iter
+    (fun m -> Cluster.hist_new_copy t.cl ~node:id ~pid:m ~base:[])
+    members;
+  let snap = Msg.snapshot_of_node root in
+  let pc = Cluster.pc_of_members_exn members in
+  if List.mem pid members then begin
+    ignore (Store.install store ~node:root ~pc ~members);
+    Cluster.unpark t.cl ~pid ~node:id
+  end
+  else Store.learn store id members;
+  Store.set_root store id;
+  List.iter
+    (fun m ->
+      if m <> pid then send t ~src:pid ~dst:m (Msg.New_root { snap; members }))
+    (all_procs t)
+
+module Core = Kernel_core.Make (struct
+  type nonrec t = t
+
+  let cluster = cluster
+  let name = "Fixed"
+  let chase_left = false
+  let parent_hints = false
+  let authority _ (copy : Store.rcopy) = copy.Store.pc
+  let forward = forward
+  let start_route = start_route
+  let grow_root = grow_root
+end)
+
+(* ------------------------------------------------------------------ *)
+(* Splits                                                              *)
 
 (* A new sibling's copy set: the replication policy's choice for its
    range, clamped to the split node's own member set — copies can only be
@@ -225,6 +247,9 @@ and end_aas t pid (copy : Store.rcopy) =
   copy.Store.blocked <- [];
   List.iter (send_local t pid) blocked
 
+(* The PC's half-split: shrink the copy, install or locate the sibling,
+   tell the other copies (a lazy Split_done, or an eager round the PC
+   holds until every copy acks), then complete the split upward. *)
 and do_split t pid (copy : Store.rcopy) =
   let n = copy.Store.node in
   let store = Cluster.store t.cl pid in
@@ -250,91 +275,43 @@ and do_split t pid (copy : Store.rcopy) =
   if List.mem pid sibling_members then
     install_copy t pid ~snap:snapshot ~pc:sib_pc ~members:sibling_members
   else Store.learn store sib_id sibling_members;
-  let is_sync = disc t = Config.Sync in
-  List.iter
-    (fun m ->
-      if m <> pid then
-        send t ~src:pid ~dst:m
-          (Msg.Split_done
-             {
-               uid;
-               node = n.Node.id;
-               sep;
-               sibling = snapshot;
-               sibling_members;
-               sync = is_sync;
-             }))
-    copy.Store.members;
-  (* Complete the split one level up (the B-link "second step"). *)
-  (if store.Store.root = n.Node.id then
-     grow_root t pid ~old_root:n ~sep ~sib_id
-   else begin
-     let uid' = Cluster.fresh_uid t.cl in
-     let act =
-       Msg.Update
-         {
-           uid = uid';
-           u = Msg.Add_child { child = sib_id; child_members = sibling_members };
-         }
-     in
-     let msg =
-       Msg.Route
-         { key = sep; level = n.Node.level + 1; node = store.Store.root; act }
-     in
-     forward t pid msg store.Store.root
-   end);
+  (match disc t with
+  | Config.Eager ->
+    eager_round t pid copy Store.Eager_split
+      (Msg.Eager_split
+         { uid; node = n.Node.id; sep; sibling = snapshot; sibling_members })
+  | Config.Sync | Config.Semi | Config.Naive ->
+    let split =
+      Msg.Split_done
+        {
+          uid;
+          node = n.Node.id;
+          sep;
+          sibling = snapshot;
+          sibling_members;
+          sync = disc t = Config.Sync;
+        }
+    in
+    List.iter
+      (fun m -> if m <> pid then send t ~src:pid ~dst:m split)
+      copy.Store.members);
+  Core.complete_split t pid n ~sep ~sib_id ~child_members:sibling_members;
   Cluster.event t.cl ~pid Event.Split_end ~a:n.Node.id ~b:sib_id
-
-and grow_root t pid ~old_root ~sep ~sib_id =
-  let store = Cluster.store t.cl pid in
-  let members = root_members t in
-  let id = Cluster.fresh_node_id t.cl in
-  let entries =
-    Entries.of_sorted_list
-      [
-        (Bound.min_sentinel, Node.Child old_root.Node.id);
-        (sep, Node.Child sib_id);
-      ]
-  in
-  let root =
-    Node.make ~id ~level:(old_root.Node.level + 1) ~low:Bound.Neg_inf
-      ~high:Bound.Pos_inf entries
-  in
-  Stats.tick (ctr t).Cluster.root_grow;
-  Cluster.event t.cl ~pid Event.Root_grow ~a:id ~b:root.Node.level;
-  List.iter
-    (fun m -> Cluster.hist_new_copy t.cl ~node:id ~pid:m ~base:[])
-    members;
-  let snap = Msg.snapshot_of_node root in
-  let pc = Cluster.pc_of_members_exn members in
-  if List.mem pid members then begin
-    ignore (Store.install store ~node:root ~pc ~members);
-    drain_pending t pid id
-  end
-  else Store.learn store id members;
-  Store.set_root store id;
-  List.iter
-    (fun m ->
-      if m <> pid then send t ~src:pid ~dst:m (Msg.New_root { snap; members }))
-    (all_procs t)
-
-and install_copy t pid ~snap ~pc ~members =
-  let store = Cluster.store t.cl pid in
-  let node = Msg.node_of_snapshot snap in
-  ignore (Store.install store ~node ~pc ~members);
-  drain_pending t pid node.Node.id
-
-and drain_pending t pid node_id =
-  let store = Cluster.store t.cl pid in
-  match Store.take_pending store node_id with
-  | [] -> ()
-  | pending ->
-    Cluster.event t.cl ~pid Event.Unpark ~a:node_id ~b:(List.length pending);
-    List.iter (send_local t pid) pending
 
 (* ------------------------------------------------------------------ *)
 (* The eager (vigorous) baseline: updates are serialized through the   *)
 (* primary copy and acknowledged by every copy before completing.      *)
+
+(* Run [job] at the other copies via [msg]; the PC holds the copy busy
+   until all of them ack. *)
+and eager_round t pid (copy : Store.rcopy) job msg =
+  match List.filter (fun m -> m <> pid) copy.Store.members with
+  | [] -> finish_eager t pid copy job
+  | others ->
+    copy.Store.eager_busy <- true;
+    copy.Store.eager_current <- Some job;
+    copy.Store.eager_acks <- List.length others;
+    List.iter (fun m -> send t ~src:pid ~dst:m msg) others
 
 and pump_eager t pid (copy : Store.rcopy) =
   if not copy.Store.eager_busy then
@@ -347,7 +324,7 @@ and pump_eager t pid (copy : Store.rcopy) =
       Stats.tick (ctr t).Cluster.eager_requeued;
       (match copy.Store.node.Node.right with
       | Some r ->
-        forward t pid
+        forward t pid ~authority:pid
           (Msg.Route
              {
                key;
@@ -363,93 +340,18 @@ and pump_eager t pid (copy : Store.rcopy) =
       let node_id = copy.Store.node.Node.id in
       job.reply <- apply_update t pid copy key u;
       Cluster.hist_record t.cl ~node:node_id ~pid ~mode:Action.Initial ~uid
-        (action_kind key u);
-      let others = List.filter (fun m -> m <> pid) copy.Store.members in
-      if others = [] then finish_eager t pid copy (Store.Eager_apply job)
-      else begin
-        copy.Store.eager_busy <- true;
-        copy.Store.eager_current <- Some (Store.Eager_apply job);
-        copy.Store.eager_acks <- List.length others;
-        List.iter
-          (fun m ->
-            send t ~src:pid ~dst:m
-              (Msg.Eager_update { uid; node = node_id; key; u }))
-          others
-      end
+        (Kernel_core.action_kind key u);
+      eager_round t pid copy (Store.Eager_apply job)
+        (Msg.Eager_update { uid; node = node_id; key; u })
     | Some Store.Eager_split ->
-      if not (Node.too_full ~capacity:(capacity t) copy.Store.node) then
-        pump_eager t pid copy
-      else begin
-        let n = copy.Store.node in
-        let store = Cluster.store t.cl pid in
-        let uid = Cluster.fresh_uid t.cl in
-        let sib_id = Cluster.fresh_node_id t.cl in
-        let base = Cluster.hist_snapshot t.cl ~node:n.Node.id ~pid in
-        let sib = Node.half_split n ~sibling_id:sib_id in
-        let sep = Node.separator_of_sibling sib in
-        t.splits <- t.splits + 1;
-        Stats.tick (ctr t).Cluster.split_count;
-        Cluster.hist_record t.cl ~node:n.Node.id ~pid ~mode:Action.Initial
-          ~uid
-          (Action.Half_split { sep; sibling = sib_id });
-        let sibling_members = sibling_members_for t copy sib in
-        List.iter
-          (fun m -> Cluster.hist_new_copy t.cl ~node:sib_id ~pid:m ~base)
-          sibling_members;
-        let snapshot = Msg.snapshot_of_node ~base sib in
-        let sib_pc = Cluster.pc_of_members_exn sibling_members in
-        if List.mem pid sibling_members then
-          install_copy t pid ~snap:snapshot ~pc:sib_pc ~members:sibling_members
-        else Store.learn store sib_id sibling_members;
-        let others = List.filter (fun m -> m <> pid) copy.Store.members in
-        if others = [] then finish_eager t pid copy Store.Eager_split
-        else begin
-          copy.Store.eager_busy <- true;
-          copy.Store.eager_current <- Some Store.Eager_split;
-          copy.Store.eager_acks <- List.length others;
-          List.iter
-            (fun m ->
-              send t ~src:pid ~dst:m
-                (Msg.Eager_split
-                   {
-                     uid;
-                     node = n.Node.id;
-                     sep;
-                     sibling = snapshot;
-                     sibling_members;
-                   }))
-            others
-        end;
-        (* Complete the split upward, as in the lazy family. *)
-        if store.Store.root = n.Node.id then
-          grow_root t pid ~old_root:n ~sep ~sib_id
-        else begin
-          let uid' = Cluster.fresh_uid t.cl in
-          let act =
-            Msg.Update
-              {
-                uid = uid';
-                u =
-                  Msg.Add_child
-                    { child = sib_id; child_members = sibling_members };
-              }
-          in
-          forward t pid
-            (Msg.Route
-               {
-                 key = sep;
-                 level = n.Node.level + 1;
-                 node = store.Store.root;
-                 act;
-               })
-            store.Store.root
-        end
-      end
+      if Node.too_full ~capacity:(capacity t) copy.Store.node then
+        do_split t pid copy
+      else pump_eager t pid copy
 
 and finish_eager t pid (copy : Store.rcopy) job =
   (match job with
   | Store.Eager_apply { reply = Some (op, result); _ } ->
-    reply_op t ~src:pid op result
+    Kernel_core.reply_op t.cl ~src:pid op result
   | Store.Eager_apply { reply = None; _ } | Store.Eager_split -> ());
   copy.Store.eager_busy <- false;
   copy.Store.eager_current <- None;
@@ -461,7 +363,7 @@ and finish_eager t pid (copy : Store.rcopy) job =
 (* Performing routed actions at their target node                      *)
 
 (* An initial update action arriving at a copy of its target node. *)
-and perform_update t pid (copy : Store.rcopy) ~key ~uid ~(u : Msg.update) =
+let perform_update t pid (copy : Store.rcopy) ~key ~uid ~(u : Msg.update) =
   let node_id = copy.Store.node.Node.id in
   match disc t with
   | Config.Eager ->
@@ -501,9 +403,9 @@ and perform_update t pid (copy : Store.rcopy) ~key ~uid ~(u : Msg.update) =
   | Config.Sync | Config.Semi | Config.Naive ->
     let reply = apply_update t pid copy key u in
     Cluster.hist_record t.cl ~node:node_id ~pid ~mode:Action.Initial ~uid
-      (action_kind key u);
+      (Kernel_core.action_kind key u);
     (match reply with
-    | Some (op, result) -> reply_op t ~src:pid op result
+    | Some (op, result) -> Kernel_core.reply_op t.cl ~src:pid op result
     | None -> ());
     let relay =
       Msg.Relay_update
@@ -511,7 +413,7 @@ and perform_update t pid (copy : Store.rcopy) ~key ~uid ~(u : Msg.update) =
           uid;
           node = node_id;
           key;
-          u = silence u;
+          u = Kernel_core.silence u;
           version = copy.Store.node.Node.version;
           sender = pid;
         }
@@ -521,37 +423,9 @@ and perform_update t pid (copy : Store.rcopy) ~key ~uid ~(u : Msg.update) =
       copy.Store.members;
     maybe_split t pid copy
 
-and perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
+let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
   match act with
-  | Msg.Search { op; origin } ->
-    let result =
-      match Node.find_leaf_value copy.Store.node key with
-      | Some v -> Msg.Found v
-      | None -> Msg.Absent
-    in
-    send t ~src:pid ~dst:origin (Msg.Op_done { op; result })
-  | Msg.Scan { op; origin; hi; acc } -> begin
-    (* collect this leaf's bindings in [route key, hi], then continue
-       along the leaf chain while it still overlaps the range *)
-    let n = copy.Store.node in
-    let acc =
-      Entries.fold
-        (fun k p acc ->
-          match p with
-          | Node.Data v when k >= key && k <= hi -> (k, v) :: acc
-          | Node.Data _ | Node.Child _ -> acc)
-        n.Node.entries acc
-    in
-    match (n.Node.right, n.Node.high) with
-    | Some r, Bound.Key h when h <= hi ->
-      forward t pid
-        (Msg.Route
-           { key = h; level = 0; node = r; act = Msg.Scan { op; origin; hi; acc } })
-        r
-    | (Some _ | None), _ ->
-      send t ~src:pid ~dst:origin
-        (Msg.Op_done { op; result = Msg.Bindings (List.rev acc) })
-  end
+  | Msg.Search _ | Msg.Scan _ -> Core.read t pid copy ~key ~act
   | Msg.Update { uid; u } -> perform_update t pid copy ~key ~uid ~u
   | Msg.Relink _ | Msg.Absorb _ ->
     Fmt.failwith "Fixed: link-change/absorb actions are a mobile feature"
@@ -559,7 +433,10 @@ and perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
 (* ------------------------------------------------------------------ *)
 (* Message handlers                                                    *)
 
-and handle_route t pid ~key ~level ~node ~act =
+(* ------------------------------------------------------------------ *)
+(* Message handlers                                                    *)
+
+let handle_route t pid ~key ~level ~node ~act =
   let store = Cluster.store t.cl pid in
   match Store.find store node with
   | None -> (
@@ -573,68 +450,28 @@ and handle_route t pid ~key ~level ~node ~act =
          member rather than parking for an install that never comes. *)
       Stats.tick (ctr t).Cluster.recover_hinted;
       send t ~src:pid
-        ~dst:(choose_member t (List.filter (fun m -> m <> pid) members))
+        ~dst:
+          (Kernel_core.choose_member t.cl
+             (List.filter (fun m -> m <> pid) members))
         msg
     | Some _ | None ->
       (* The copy is not installed yet (e.g. a sibling whose Split_done is
          still in flight): park the action until it is. *)
-      Stats.tick (ctr t).Cluster.route_parked;
-      Cluster.event t.cl ~pid Event.Park ~a:node ~b:(Msg.kind_id msg);
-      Store.add_pending store node msg)
+      Cluster.park t.cl ~pid ~node msg)
   | Some copy ->
-    Cluster.touch t.cl ~node;
-    let n = copy.Store.node in
-    if n.Node.level > level then begin
-      let authority = copy.Store.pc in
-      match Node.step n key with
-      | Node.Chase_right r ->
-        Stats.tick (ctr t).Cluster.route_chase;
-        forward ~authority t pid (Msg.Route { key; level; node = r; act }) r
-      | Node.Descend c ->
-        forward ~authority t pid (Msg.Route { key; level; node = c; act }) c
-      | Node.Here | Node.Chase_left _ | Node.Dead_end ->
-        Fmt.failwith "Fixed: bad navigation at node %d for key %d" node key
-    end
-    else if n.Node.level < level then begin
-      (* The route's start was a stale root pointer: a split finished at
-         this node's level while the New_root broadcast that raises our
-         root above [level] is still in flight.  Re-enter at whatever root
-         we currently know — each bounce costs at least a tick, so the
-         pending New_root lands after finitely many retries (the variable
-         kernel recovers the same way). *)
-      Stats.tick (ctr t).Cluster.route_up;
-      forward t pid
-        (Msg.Route { key; level; node = store.Store.root; act })
-        store.Store.root
-    end
-    else if Bound.compare_key n.Node.high key <= 0 then begin
-      (* out of range at the target level: chase the right link *)
-      Stats.tick (ctr t).Cluster.route_chase;
-      match n.Node.right with
-      | Some r ->
-        forward ~authority:copy.Store.pc t pid
-          (Msg.Route { key; level; node = r; act })
-          r
-      | None -> Fmt.failwith "Fixed: dead end at node %d for key %d" node key
-    end
-    else if Bound.compare_key n.Node.low key > 0 then
-      Fmt.failwith "Fixed: key %d below node %d's range" key node
-    else perform t pid copy ~key ~act
+    if Core.navigate t pid copy ~key ~level ~act then perform t pid copy ~key ~act
 
-and handle_relay t pid ~uid ~node ~key ~u ~version:_ ~sender:_ =
-  let store = Cluster.store t.cl pid in
-  match Store.find store node with
+let handle_relay t pid ~uid ~node ~key ~u =
+  match find t pid node with
   | None ->
-    let msg = Msg.Relay_update { uid; node; key; u; version = 0; sender = pid } in
-    Stats.tick (ctr t).Cluster.route_parked;
-    Cluster.event t.cl ~pid Event.Park ~a:node ~b:(Msg.kind_id msg);
-    Store.add_pending store node msg
+    Cluster.park t.cl ~pid ~node
+      (Msg.Relay_update { uid; node; key; u; version = 0; sender = pid })
   | Some copy ->
     Cluster.touch t.cl ~node;
     if Node.in_range copy.Store.node key then begin
       ignore (apply_update t pid copy key u);
       Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed ~uid
-        (action_kind key u);
+        (Kernel_core.action_kind key u);
       Stats.tick (ctr t).Cluster.relay_applied;
       Cluster.event t.cl ~pid Event.Relay ~a:node ~b:Event.relay_applied;
       maybe_split t pid copy
@@ -649,10 +486,10 @@ and handle_relay t pid ~uid ~node ~key ~u ~version:_ ~sender:_ =
          location for.  Harvest it before deciding the entry's fate. *)
       (match u with
       | Msg.Add_child { child; child_members } ->
-        Store.learn_if_absent store child child_members
+        Store.learn_if_absent (Cluster.store t.cl pid) child child_members
       | Msg.Upsert _ | Msg.Remove _ | Msg.Drop_child _ -> ());
       Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed
-        ~effective:false ~uid (action_kind key u);
+        ~effective:false ~uid (Kernel_core.action_kind key u);
       match disc t with
       | Config.Sync ->
         (* safe: the AAS ordering guarantees the PC applied this update
@@ -678,7 +515,7 @@ and handle_relay t pid ~uid ~node ~key ~u ~version:_ ~sender:_ =
           let uid' = Cluster.fresh_uid t.cl in
           match copy.Store.node.Node.right with
           | Some r ->
-            forward t pid
+            forward t pid ~authority:pid
               (Msg.Route
                  {
                    key;
@@ -694,112 +531,9 @@ and handle_relay t pid ~uid ~node ~key ~u ~version:_ ~sender:_ =
         Fmt.failwith "Fixed: relay received under the eager discipline"
     end
 
-and handle t pid ~src msg =
-  match msg with
-  (* dbflow: class lazy -- piggyback container: each part re-enters dispatch under its own class *)
-  | Msg.Batch b -> List.iter (handle t pid ~src) b.Msg.parts
-  (* dbflow: class semi -- routing parks on the owning copy and update actions are PC-coordinated (§4.1) *)
-  | Msg.Route { key; level; node; act } -> handle_route t pid ~key ~level ~node ~act
-  (* dbflow: class lazy -- completion funnel at the origin, independent of any copy's role *)
-  | Msg.Op_done { op; result } -> Cluster.op_complete t.cl ~op ~result
-  (* dbflow: class semi -- relayed updates are version-ordered per node, discipline-gated at the PC (§3.2) *)
-  | Msg.Relay_update { uid; node; key; u; version; sender } ->
-    handle_relay t pid ~uid ~node ~key ~u ~version ~sender
-  (* dbflow: class sync -- AAS enrolment: marks the copy splitting and blocks initial updates (§4.1.1) *)
-  | Msg.Split_start { node } -> begin
-    let store = Cluster.store t.cl pid in
-    match Store.find store node with
-    | None ->
-      Stats.tick (ctr t).Cluster.route_parked;
-      Cluster.event t.cl ~pid Event.Park ~a:node ~b:(Msg.kind_id msg);
-      Store.add_pending store node msg
-    | Some copy ->
-      copy.Store.splitting <- true;
-      Hashtbl.replace t.aas_since ((node * procs t) + pid) (Cluster.now t.cl);
-      Cluster.aas_begin t.cl;
-      send t ~src:pid ~dst:src (Msg.Split_ack { node })
-  end
-  (* dbflow: class sync -- AAS quorum ack: the synchronous split proceeds only once every member enrolled (§4.1.1) *)
-  | Msg.Split_ack { node } ->
-    let store = Cluster.store t.cl pid in
-    let copy = Store.get store node in
-    copy.Store.acks_pending <- copy.Store.acks_pending - 1;
-    if copy.Store.acks_pending = 0 then begin
-      do_split t pid copy;
-      end_aas t pid copy;
-      maybe_split t pid copy
-    end
-  (* dbflow: class semi -- remote half-split apply, ordered by node version against relays (§4.1) *)
-  | Msg.Split_done { uid; node; sep; sibling; sibling_members; sync } -> begin
-    let store = Cluster.store t.cl pid in
-    match Store.find store node with
-    | None ->
-      Stats.tick (ctr t).Cluster.route_parked;
-      Cluster.event t.cl ~pid Event.Park ~a:node ~b:(Msg.kind_id msg);
-      Store.add_pending store node msg
-    | Some copy ->
-      apply_remote_split t pid copy ~uid ~sep ~sibling ~sibling_members;
-      if sync then end_aas t pid copy
-  end
-  (* dbflow: class lazy -- root adoption is monotone on level, so copies may learn it in any order (§4.3) *)
-  | Msg.New_root { snap; members } ->
-    let store = Cluster.store t.cl pid in
-    let is_newer =
-      match Store.find store store.Store.root with
-      | Some current -> snap.Msg.s_level > current.Store.node.Node.level
-      | None -> true
-    in
-    Store.learn store snap.Msg.s_id members;
-    (match Cluster.pc_of_members members with
-    | Error Cluster.Empty_members ->
-      (* no surviving copy-holder to name a primary: wait on the park
-         path rather than tearing the handler down *)
-      Cluster.park_no_members t.cl ~pid ~node:snap.Msg.s_id msg
-    | Ok pc -> if List.mem pid members then install_copy t pid ~snap ~pc ~members);
-    if is_newer then Store.set_root store snap.Msg.s_id
-  (* dbflow: class semi -- eager discipline round: apply then ack to the coordinating PC (E8 baseline) *)
-  | Msg.Eager_update { uid; node; key; u } -> begin
-    let store = Cluster.store t.cl pid in
-    match Store.find store node with
-    | None ->
-      Stats.tick (ctr t).Cluster.route_parked;
-      Cluster.event t.cl ~pid Event.Park ~a:node ~b:(Msg.kind_id msg);
-      Store.add_pending store node msg
-    | Some copy ->
-      ignore (apply_update t pid copy key u);
-      Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed ~uid
-        (action_kind key u);
-      send t ~src:pid ~dst:src (Msg.Eager_ack { node })
-  end
-  (* dbflow: class semi -- eager discipline split apply, acked to the coordinating PC (E8 baseline) *)
-  | Msg.Eager_split { uid; node; sep; sibling; sibling_members } -> begin
-    let store = Cluster.store t.cl pid in
-    match Store.find store node with
-    | None ->
-      Stats.tick (ctr t).Cluster.route_parked;
-      Cluster.event t.cl ~pid Event.Park ~a:node ~b:(Msg.kind_id msg);
-      Store.add_pending store node msg
-    | Some copy ->
-      apply_remote_split t pid copy ~uid ~sep ~sibling ~sibling_members;
-      send t ~src:pid ~dst:src (Msg.Eager_ack { node })
-  end
-  (* dbflow: class semi -- eager round completion: the PC releases the held update at quorum (E8 baseline) *)
-  | Msg.Eager_ack { node } ->
-    let store = Cluster.store t.cl pid in
-    let copy = Store.get store node in
-    copy.Store.eager_acks <- copy.Store.eager_acks - 1;
-    if copy.Store.eager_acks = 0 then begin
-      match copy.Store.eager_current with
-      | Some job -> finish_eager t pid copy job
-      | None -> Fmt.failwith "Fixed: eager ack with no job in flight"
-    end
-  | Msg.Migrate_install _ | Msg.Join_request _ | Msg.Join_copy _
-  | Msg.Relay_member _ | Msg.Unjoin_request _ ->
-    Fmt.failwith "Fixed: unexpected message %s" (Msg.kind msg)
-
 (* A relayed / synchronized split arriving at a non-PC copy: shrink the
    local copy and install the sibling if this processor hosts one. *)
-and apply_remote_split t pid (copy : Store.rcopy) ~uid ~sep ~sibling
+let apply_remote_split t pid (copy : Store.rcopy) ~uid ~sep ~sibling
     ~sibling_members =
   let store = Cluster.store t.cl pid in
   let n = copy.Store.node in
@@ -820,71 +554,117 @@ and apply_remote_split t pid (copy : Store.rcopy) ~uid ~sep ~sibling
       ~members:sibling_members;
   if pid = copy.Store.pc then maybe_split t pid copy
 
+let rec handle t pid ~src msg =
+  match msg with
+  (* dbflow: class lazy -- piggyback container: each part re-enters dispatch under its own class *)
+  | Msg.Batch b -> List.iter (handle t pid ~src) b.Msg.parts
+  (* dbflow: class semi -- routing parks on the owning copy and update actions are PC-coordinated (§4.1) *)
+  | Msg.Route { key; level; node; act } -> handle_route t pid ~key ~level ~node ~act
+  (* dbflow: class lazy -- completion funnel at the origin, independent of any copy's role *)
+  | Msg.Op_done { op; result } -> Cluster.op_complete t.cl ~op ~result
+  (* dbflow: class semi -- relayed updates are version-ordered per node, discipline-gated at the PC (§3.2) *)
+  | Msg.Relay_update { uid; node; key; u; version = _; sender = _ } ->
+    handle_relay t pid ~uid ~node ~key ~u
+  (* dbflow: class sync -- AAS enrolment: marks the copy splitting and blocks initial updates (§4.1.1) *)
+  | Msg.Split_start { node } -> begin
+    match find t pid node with
+    | None -> Cluster.park t.cl ~pid ~node msg
+    | Some copy ->
+      copy.Store.splitting <- true;
+      Hashtbl.replace t.aas_since ((node * procs t) + pid) (Cluster.now t.cl);
+      Cluster.aas_begin t.cl;
+      send t ~src:pid ~dst:src (Msg.Split_ack { node })
+  end
+  (* dbflow: class sync -- AAS quorum ack: the synchronous split proceeds only once every member enrolled (§4.1.1) *)
+  | Msg.Split_ack { node } ->
+    let copy = Store.get (Cluster.store t.cl pid) node in
+    copy.Store.acks_pending <- copy.Store.acks_pending - 1;
+    if copy.Store.acks_pending = 0 then begin
+      do_split t pid copy;
+      end_aas t pid copy;
+      maybe_split t pid copy
+    end
+  (* dbflow: class semi -- remote half-split apply, ordered by node version against relays (§4.1) *)
+  | Msg.Split_done { uid; node; sep; sibling; sibling_members; sync } -> begin
+    match find t pid node with
+    | None -> Cluster.park t.cl ~pid ~node msg
+    | Some copy ->
+      apply_remote_split t pid copy ~uid ~sep ~sibling ~sibling_members;
+      if sync then end_aas t pid copy
+  end
+  (* dbflow: class lazy -- root adoption is monotone on level, so copies may learn it in any order (§4.3) *)
+  | Msg.New_root { snap; members } ->
+    let store = Cluster.store t.cl pid in
+    let is_newer =
+      match Store.find store store.Store.root with
+      | Some current -> snap.Msg.s_level > current.Store.node.Node.level
+      | None -> true
+    in
+    Store.learn store snap.Msg.s_id members;
+    (match Cluster.pc_of_members members with
+    | Error Cluster.Empty_members ->
+      (* no surviving copy-holder to name a primary: wait on the park
+         path rather than tearing the handler down *)
+      Cluster.park ~no_members:true t.cl ~pid ~node:snap.Msg.s_id msg
+    | Ok pc -> if List.mem pid members then install_copy t pid ~snap ~pc ~members);
+    if is_newer then Store.set_root store snap.Msg.s_id
+  (* dbflow: class semi -- eager discipline round: apply then ack to the coordinating PC (E8 baseline) *)
+  | Msg.Eager_update { uid; node; key; u } -> begin
+    match find t pid node with
+    | None -> Cluster.park t.cl ~pid ~node msg
+    | Some copy ->
+      ignore (apply_update t pid copy key u);
+      Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed ~uid
+        (Kernel_core.action_kind key u);
+      send t ~src:pid ~dst:src (Msg.Eager_ack { node })
+  end
+  (* dbflow: class semi -- eager discipline split apply, acked to the coordinating PC (E8 baseline) *)
+  | Msg.Eager_split { uid; node; sep; sibling; sibling_members } -> begin
+    match find t pid node with
+    | None -> Cluster.park t.cl ~pid ~node msg
+    | Some copy ->
+      apply_remote_split t pid copy ~uid ~sep ~sibling ~sibling_members;
+      send t ~src:pid ~dst:src (Msg.Eager_ack { node })
+  end
+  (* dbflow: class semi -- eager round completion: the PC releases the held update at quorum (E8 baseline) *)
+  | Msg.Eager_ack { node } ->
+    let copy = Store.get (Cluster.store t.cl pid) node in
+    copy.Store.eager_acks <- copy.Store.eager_acks - 1;
+    if copy.Store.eager_acks = 0 then begin
+      match copy.Store.eager_current with
+      | Some job -> finish_eager t pid copy job
+      | None -> Fmt.failwith "Fixed: eager ack with no job in flight"
+    end
+  | Msg.Migrate_install _ | Msg.Join_request _ | Msg.Join_copy _
+  | Msg.Relay_member _ | Msg.Unjoin_request _ ->
+    Fmt.failwith "Fixed: unexpected message %s" (Msg.kind msg)
+
 (* ------------------------------------------------------------------ *)
 (* Bootstrap                                                           *)
 
+(* The initial tree: the root's copies per [root_members], each leaf's
+   per the replication policy for its slice. *)
 let bootstrap t =
   let cl = t.cl in
-  let cfg = config t in
-  let nprocs = cfg.Config.procs in
-  (* One leaf per partition slice... *)
-  let leaves =
-    List.init nprocs (fun p ->
-        let lo, hi = Partition.slice cl.Cluster.partition p in
-        let low = if p = 0 then Bound.Neg_inf else Bound.Key lo in
-        let high = if p = nprocs - 1 then Bound.Pos_inf else Bound.Key hi in
-        let id = Cluster.fresh_node_id cl in
-        let node = Node.make ~id ~level:0 ~low ~high Entries.empty in
-        (p, lo, node))
-  in
-  (* link the leaf chain *)
-  let rec link = function
-    | (_, _, a) :: ((_, _, b) :: _ as rest) ->
-      a.Node.right <- Some b.Node.id;
-      b.Node.left <- Some a.Node.id;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link leaves;
-  (* ... and a root over them. *)
-  let root_id = Cluster.fresh_node_id cl in
-  let root_entries =
-    Entries.of_sorted_list
-      (List.map
-         (fun (p, lo, node) ->
-           ((if p = 0 then Bound.min_sentinel else lo), Node.Child node.Node.id))
-         leaves)
-  in
-  let root =
-    Node.make ~id:root_id ~level:1 ~low:Bound.Neg_inf ~high:Bound.Pos_inf
-      root_entries
-  in
-  let rmembers = root_members t in
-  let leaf_members (node : Msg.value Node.t) =
-    Cluster.members_for_range cl ~low:node.Node.low ~high:node.Node.high
-  in
-  for pid = 0 to nprocs - 1 do
-    let store = Cluster.store cl pid in
-    Store.set_root store root_id;
-    Store.learn store root_id rmembers;
-    if List.mem pid rmembers then begin
+  let leaves, root = Kernel_core.initial_tree cl in
+  let place store (node : Msg.value Node.t) members =
+    Store.learn store node.Node.id members;
+    if List.mem store.Store.pid members then begin
       ignore
-        (Store.install store ~node:(Node.clone root)
-           ~pc:(Cluster.pc_of_members_exn rmembers)
-           ~members:rmembers);
-      Cluster.hist_new_copy cl ~node:root_id ~pid ~base:[]
-    end;
+        (Store.install store ~node:(Node.clone node)
+           ~pc:(Cluster.pc_of_members_exn members)
+           ~members);
+      Cluster.hist_new_copy cl ~node:node.Node.id ~pid:store.Store.pid ~base:[]
+    end
+  in
+  for pid = 0 to procs t - 1 do
+    let store = Cluster.store cl pid in
+    Store.set_root store root.Node.id;
+    place store root (root_members t);
     List.iter
-      (fun (_, _, node) ->
-        let members = leaf_members node in
-        Store.learn store node.Node.id members;
-        if List.mem pid members then begin
-          ignore
-            (Store.install store ~node:(Node.clone node)
-               ~pc:(Cluster.pc_of_members_exn members)
-               ~members);
-          Cluster.hist_new_copy cl ~node:node.Node.id ~pid ~base:[]
-        end)
+      (fun (_, (node : Msg.value Node.t)) ->
+        place store node
+          (Cluster.members_for_range cl ~low:node.Node.low ~high:node.Node.high))
       leaves
   done
 
@@ -915,80 +695,8 @@ let create cfg =
   bootstrap t;
   t
 
-let start_route t ~origin msg =
-  let store = Cluster.store t.cl origin in
-  let root = store.Store.root in
-  if Store.mem store root then send_local t origin msg
-  else
-    let members = Store.members_of store root in
-    send t ~src:origin ~dst:(choose_member t members) msg
-
-let insert t ~origin key value =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Insert ~key
-      ~value:(Some value) ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  let uid = Cluster.fresh_uid t.cl in
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act =
-           Msg.Update { uid; u = Msg.Upsert { op = r.Opstate.id; origin; value } };
-       });
-  r.Opstate.id
-
-let search t ~origin key =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Search ~key ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Search { op = r.Opstate.id; origin };
-       });
-  r.Opstate.id
-
-let remove t ~origin key =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Delete ~key ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  let uid = Cluster.fresh_uid t.cl in
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Update { uid; u = Msg.Remove { op = r.Opstate.id; origin } };
-       });
-  r.Opstate.id
-
-
-let scan t ~origin ~lo ~hi =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Scan ~key:lo ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  start_route t ~origin
-    (Msg.Route
-       {
-         key = lo;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Scan { op = r.Opstate.id; origin; hi; acc = [] };
-       });
-  r.Opstate.id
-
+let insert = Core.insert
+let search = Core.search
+let remove = Core.remove
+let scan = Core.scan
 let run ?max_events t = Cluster.run ?max_events t.cl

@@ -1,0 +1,421 @@
+open Dbtree_blink
+open Dbtree_sim
+module Action = Dbtree_history.Action
+module Event = Dbtree_obs.Event
+
+(* ------------------------------------------------------------------ *)
+(* Small helpers                                                       *)
+
+let choose_member cl members =
+  match members with
+  | [ m ] -> m
+  | ms ->
+    (* One [Rng.int] draw over the list length — the same draw [Rng.pick]
+       makes, without materialising an intermediate array per hop. *)
+    List.nth ms (Rng.int (Sim.rng cl.Cluster.sim) (List.length ms))
+
+let reply_op cl ~src op result =
+  if op >= 0 then
+    match Opstate.find cl.Cluster.ops op with
+    | Some r -> Cluster.send cl ~src ~dst:r.Opstate.origin (Msg.Op_done { op; result })
+    | None -> Fmt.failwith "Kernel_core: reply for unknown op %d" op
+
+let action_kind key (u : Msg.update) =
+  match u with
+  | Msg.Upsert _ | Msg.Add_child _ -> Action.Insert { key }
+  | Msg.Remove _ | Msg.Drop_child _ -> Action.Delete { key }
+
+(* Mark an update as already answered, for relays and re-issue after
+   history rewriting: the client was answered when the initial action
+   ran. *)
+let silence (u : Msg.update) =
+  match u with
+  | Msg.Upsert { value; _ } -> Msg.Upsert { op = -1; origin = 0; value }
+  | Msg.Remove _ -> Msg.Remove { op = -1; origin = 0 }
+  | Msg.Add_child _ | Msg.Drop_child _ -> u
+
+(* A key guaranteed to lie inside the node's range, used to route actions
+   that concern this node (e.g. the parent's hint update) by key. *)
+let guide_key (n : Msg.value Node.t) =
+  match (n.Node.low, n.Node.high) with
+  | Bound.Key k, _ -> k
+  | Bound.Neg_inf, Bound.Key h -> h - 1
+  | Bound.Neg_inf, (Bound.Pos_inf | Bound.Neg_inf) -> 0
+  | Bound.Pos_inf, _ -> invalid_arg "Kernel_core.guide_key: low = +inf"
+
+(* The client-data arms of a kernel's [apply_update]: returns the reply
+   the initial execution owes. *)
+let apply_data (n : Msg.value Node.t) key (u : Msg.update) =
+  match u with
+  | Msg.Upsert { op; value; _ } ->
+    Node.add_entry n key (Node.Data value);
+    Some (op, Msg.Inserted)
+  | Msg.Remove { op; _ } ->
+    let present = Entries.mem n.Node.entries key in
+    Node.remove_entry n key;
+    Some (op, Msg.Removed present)
+  | Msg.Add_child _ | Msg.Drop_child _ ->
+    invalid_arg "Kernel_core.apply_data: not a data update"
+
+(* ------------------------------------------------------------------ *)
+(* Tree shape: bootstrap and root growth                               *)
+
+(* One leaf per partition slice, linked into a chain, and a level-1 root
+   over them.  Node ids are drawn leaves first, then the root. *)
+let initial_tree cl =
+  let nprocs = cl.Cluster.config.Config.procs in
+  let leaves =
+    List.init nprocs (fun p ->
+        let lo, hi = Partition.slice cl.Cluster.partition p in
+        let low = if p = 0 then Bound.Neg_inf else Bound.Key lo in
+        let high = if p = nprocs - 1 then Bound.Pos_inf else Bound.Key hi in
+        let id = Cluster.fresh_node_id cl in
+        (p, Node.make ~id ~level:0 ~low ~high Entries.empty))
+  in
+  let rec link = function
+    | (_, a) :: ((_, b) :: _ as rest) ->
+      a.Node.right <- Some b.Node.id;
+      b.Node.left <- Some a.Node.id;
+      link rest
+    | [ _ ] | [] -> ()
+  in
+  link leaves;
+  let root_id = Cluster.fresh_node_id cl in
+  let root_entries =
+    Entries.of_sorted_list
+      (List.map
+         (fun (_, (node : Msg.value Node.t)) ->
+           ( (match node.Node.low with
+             | Bound.Key lo -> lo
+             | Bound.Neg_inf | Bound.Pos_inf -> Bound.min_sentinel),
+             Node.Child node.Node.id ))
+         leaves)
+  in
+  ( leaves,
+    Node.make ~id:root_id ~level:1 ~low:Bound.Neg_inf ~high:Bound.Pos_inf
+      root_entries )
+
+(* The node of a new root over [old_root] and its sibling [sib_id]. *)
+let new_root cl pid ~(old_root : Msg.value Node.t) ~sep ~sib_id =
+  let id = Cluster.fresh_node_id cl in
+  let entries =
+    Entries.of_sorted_list
+      [
+        (Bound.min_sentinel, Node.Child old_root.Node.id);
+        (sep, Node.Child sib_id);
+      ]
+  in
+  let root =
+    Node.make ~id ~level:(old_root.Node.level + 1) ~low:Bound.Neg_inf
+      ~high:Bound.Pos_inf entries
+  in
+  Stats.tick cl.Cluster.ctr.Cluster.root_grow;
+  Cluster.event cl ~pid Event.Root_grow ~a:id ~b:root.Node.level;
+  root
+
+(* ------------------------------------------------------------------ *)
+(* Migration and balancing (single-copy Variable leaves, Mobile nodes) *)
+
+(* The store holding [node]'s single copy, unless the node is gone or
+   already sits at [to_pid] (counted as a skipped migration). *)
+let migration_owner cl ~node ~to_pid =
+  let owner =
+    Array.fold_left
+      (fun acc store -> if Store.mem store node then Some store else acc)
+      None cl.Cluster.stores
+  in
+  match owner with
+  | Some store when store.Store.pid <> to_pid -> Some store
+  | Some _ | None ->
+    Stats.tick cl.Cluster.ctr.Cluster.migrate_skipped;
+    None
+
+(* Ship [copy] off its owner [store] to [to_pid]: bump its version,
+   retire it here, and leave a forwarding address (if configured) and a
+   location hint behind. *)
+let ship cl store (copy : Store.rcopy) ~to_pid ~ancestors =
+  let pid = store.Store.pid in
+  let n = copy.Store.node in
+  let node = n.Node.id in
+  n.Node.version <- n.Node.version + 1;
+  let base = Cluster.hist_snapshot cl ~node ~pid in
+  let snap = Msg.snapshot_of_node ~base n in
+  Store.remove store node;
+  Cluster.hist_retire cl ~node ~pid;
+  if cl.Cluster.config.Config.forwarding then Store.set_forwarding store node to_pid;
+  Store.learn store node [ to_pid ];
+  Stats.tick cl.Cluster.ctr.Cluster.migrate_count;
+  Cluster.event cl ~pid Event.Migrate ~a:node ~b:to_pid;
+  Cluster.send cl ~src:pid ~dst:to_pid
+    (Msg.Migrate_install { snap; ancestors; from_pid = pid })
+
+let leaf_counts cl =
+  Array.map
+    (fun store ->
+      let count = ref 0 in
+      Store.iter store (fun c -> if Node.is_leaf c.Store.node then incr count);
+      !count)
+    cl.Cluster.stores
+
+(* Periodic leaf balancer: move the fullest leaf of the most loaded
+   processor to the least loaded one whenever the spread exceeds one. *)
+let balance_step cl migrate k =
+  let counts = leaf_counts cl in
+  let hi = ref 0 and lo = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if c > counts.(!hi) then hi := i;
+      if c < counts.(!lo) then lo := i)
+    counts;
+  if counts.(!hi) - counts.(!lo) >= 2 then begin
+    let victim = ref None in
+    Store.iter (Cluster.store cl !hi) (fun c ->
+        if Node.is_leaf c.Store.node then
+          match !victim with
+          | Some (size, _) when size >= Node.size c.Store.node -> ()
+          | Some _ | None ->
+            victim := Some (Node.size c.Store.node, c.Store.node.Node.id));
+    match !victim with
+    | Some (_, id) -> migrate k ~node:id ~to_pid:!lo
+    | None -> ()
+  end
+
+(* The balancer re-arms only while other work is pending, so a drained
+   simulation still quiesces. *)
+let start_balancer cl migrate k =
+  let period = cl.Cluster.config.Config.balance_period in
+  if period > 0 then begin
+    let rec tick () =
+      if Sim.pending cl.Cluster.sim > 0 then begin
+        balance_step cl migrate k;
+        Sim.schedule cl.Cluster.sim ~delay:period tick
+      end
+    in
+    Sim.schedule cl.Cluster.sim ~delay:period tick
+  end
+
+let schedule_migrate cl migrate k ~node ~to_pid =
+  if to_pid < 0 || to_pid >= cl.Cluster.config.Config.procs then
+    invalid_arg "migrate: bad pid";
+  Sim.schedule cl.Cluster.sim ~delay:0 (fun () -> migrate k ~node ~to_pid)
+
+(* ------------------------------------------------------------------ *)
+(* The B-link machine over a kernel's copy-ordering policy             *)
+
+module type KERNEL = sig
+  type t
+
+  val cluster : t -> Cluster.t
+  val name : string
+  val chase_left : bool
+  val parent_hints : bool
+  val authority : Msg.pid -> Store.rcopy -> Msg.pid
+
+  val forward :
+    t -> Msg.pid -> authority:Msg.pid -> Msg.t -> Msg.node_id -> unit
+
+  val start_route : t -> origin:Msg.pid -> Msg.t -> unit
+
+  val grow_root :
+    t -> Msg.pid -> old_root:Msg.value Node.t -> sep:int -> sib_id:Msg.node_id -> unit
+end
+
+module Make (K : KERNEL) = struct
+  (* Where a route that must climb re-enters the tree: the parent hint
+     when the kernel keeps one, else the processor's root. *)
+  let up_start (store : Store.t) (n : Msg.value Node.t) =
+    if K.parent_hints then Option.value n.Node.parent ~default:store.Store.root
+    else store.Store.root
+
+  (* The present-copy half of routing: chase, descend or climb towards
+     the target, and return [true] when [key] is in range at the target
+     level, i.e. the caller performs the action here. *)
+  let navigate t pid (copy : Store.rcopy) ~key ~level ~act =
+    let cl = K.cluster t in
+    let n = copy.Store.node in
+    let node = n.Node.id in
+    let authority = K.authority pid copy in
+    Cluster.touch cl ~node;
+    if n.Node.level > level then begin
+      (match Node.step n key with
+      | Node.Chase_right r ->
+        Stats.tick cl.Cluster.ctr.Cluster.route_chase;
+        K.forward t pid ~authority (Msg.Route { key; level; node = r; act }) r
+      | Node.Descend c ->
+        K.forward t pid ~authority (Msg.Route { key; level; node = c; act }) c
+      | Node.Chase_left l when K.chase_left ->
+        Stats.tick cl.Cluster.ctr.Cluster.route_chase;
+        K.forward t pid ~authority (Msg.Route { key; level; node = l; act }) l
+      | Node.Here | Node.Chase_left _ | Node.Dead_end ->
+        Fmt.failwith "%s: bad navigation at node %d for key %d" K.name node key);
+      false
+    end
+    else if n.Node.level < level then begin
+      (* A stale start: a split finished at this node's level while the
+         news that raises our root (or parent hint) above [level] is
+         still in flight.  Re-enter higher up — each bounce costs at
+         least a tick, so the pending update lands after finitely many
+         retries. *)
+      let start = up_start (Cluster.store cl pid) n in
+      Stats.tick cl.Cluster.ctr.Cluster.route_up;
+      K.forward t pid ~authority:pid (Msg.Route { key; level; node = start; act }) start;
+      false
+    end
+    else if Bound.compare_key n.Node.high key <= 0 then begin
+      (* out of range at the target level: chase the right link *)
+      Stats.tick cl.Cluster.ctr.Cluster.route_chase;
+      (match n.Node.right with
+      | Some r -> K.forward t pid ~authority (Msg.Route { key; level; node = r; act }) r
+      | None -> Fmt.failwith "%s: dead end right at node %d key %d" K.name node key);
+      false
+    end
+    else if Bound.compare_key n.Node.low key > 0 then begin
+      (* Left of the range: a broken invariant where links only grow
+         rightwards, a left-link chase where nodes move. *)
+      if not K.chase_left then
+        Fmt.failwith "%s: key %d below node %d's range" K.name key node;
+      Stats.tick cl.Cluster.ctr.Cluster.route_chase;
+      (match n.Node.left with
+      | Some l -> K.forward t pid ~authority (Msg.Route { key; level; node = l; act }) l
+      | None -> Fmt.failwith "%s: dead end left at node %d key %d" K.name node key);
+      false
+    end
+    else true
+
+  (* The leaf-level reads: answer a search, or collect this leaf's
+     bindings in [route key, hi] and continue along the leaf chain while
+     it still overlaps the range. *)
+  let read t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
+    let cl = K.cluster t in
+    let n = copy.Store.node in
+    match act with
+    | Msg.Search { op; origin } ->
+      let result =
+        match Node.find_leaf_value n key with
+        | Some v -> Msg.Found v
+        | None -> Msg.Absent
+      in
+      Cluster.send cl ~src:pid ~dst:origin (Msg.Op_done { op; result })
+    | Msg.Scan { op; origin; hi; acc } -> begin
+      let acc =
+        Entries.fold
+          (fun k p acc ->
+            match p with
+            | Node.Data v when k >= key && k <= hi -> (k, v) :: acc
+            | Node.Data _ | Node.Child _ -> acc)
+          n.Node.entries acc
+      in
+      match (n.Node.right, n.Node.high) with
+      | Some r, Bound.Key h when h <= hi ->
+        K.forward t pid ~authority:pid
+          (Msg.Route
+             { key = h; level = 0; node = r; act = Msg.Scan { op; origin; hi; acc } })
+          r
+      | (Some _ | None), _ ->
+        Cluster.send cl ~src:pid ~dst:origin
+          (Msg.Op_done { op; result = Msg.Bindings (List.rev acc) })
+    end
+    | Msg.Update _ | Msg.Relink _ | Msg.Absorb _ ->
+      invalid_arg "Kernel_core.read: not a read action"
+
+  (* Complete a half-split one level up (the B-link "second step"): grow
+     a new root over a splitting root, else route the sibling's entry to
+     the parent level. *)
+  let complete_split t pid (n : Msg.value Node.t) ~sep ~sib_id ~child_members =
+    let cl = K.cluster t in
+    let store = Cluster.store cl pid in
+    if store.Store.root = n.Node.id then K.grow_root t pid ~old_root:n ~sep ~sib_id
+    else begin
+      let uid = Cluster.fresh_uid cl in
+      let start = up_start store n in
+      K.forward t pid ~authority:pid
+        (Msg.Route
+           {
+             key = sep;
+             level = n.Node.level + 1;
+             node = start;
+             act = Msg.Update { uid; u = Msg.Add_child { child = sib_id; child_members } };
+           })
+        start
+    end
+
+  let issue_relink t pid ~uid ~key ~level ~start ~which ~target ~version =
+    K.forward t pid ~authority:pid
+      (Msg.Route
+         {
+           key;
+           level;
+           node = start;
+           act =
+             Msg.Relink
+               { uid; which; target; target_pid = pid; version; relayed = false };
+         })
+      start
+
+  (* Install a migrated node at its new owner and link-change its left
+     and right neighbours to it; the parent's hint is the kernel's. *)
+  let migrate_in t pid (snap : Msg.snapshot) =
+    let cl = K.cluster t in
+    let store = Cluster.store cl pid in
+    let node = Msg.node_of_snapshot snap in
+    let id = node.Node.id in
+    ignore (Store.install store ~node ~pc:pid ~members:[ pid ]);
+    Store.clear_forwarding store id;
+    Store.undepart store id;
+    Cluster.hist_new_copy cl ~node:id ~pid ~base:snap.Msg.s_base;
+    Cluster.hist_record cl ~node:id ~pid ~mode:Action.Initial
+      ~version:node.Node.version ~uid:(Cluster.fresh_uid cl)
+      (Action.Migrate { to_pid = pid });
+    let v = node.Node.version in
+    (match (node.Node.left, node.Node.low) with
+    | Some l, Bound.Key low ->
+      issue_relink t pid ~uid:(Cluster.fresh_uid cl) ~key:(low - 1)
+        ~level:node.Node.level ~start:l ~which:`Right ~target:id ~version:v
+    | (Some _ | None), _ -> ());
+    (match (node.Node.right, node.Node.high) with
+    | Some r, Bound.Key high ->
+      issue_relink t pid ~uid:(Cluster.fresh_uid cl) ~key:high
+        ~level:node.Node.level ~start:r ~which:`Left ~target:id ~version:v
+    | (Some _ | None), _ -> ());
+    node
+
+  (* Op issue: register the op and route its action from the origin's
+     root, entering the tree the kernel's way. *)
+  let issue t ~origin ~kind ~key ~value =
+    let cl = K.cluster t in
+    let r =
+      Opstate.register cl.Cluster.ops ~kind ~key ~value ~origin
+        ~now:(Cluster.now cl)
+    in
+    Cluster.op_issue cl r;
+    r
+
+  let route t ~origin ~key act =
+    let cl = K.cluster t in
+    K.start_route t ~origin
+      (Msg.Route { key; level = 0; node = (Cluster.store cl origin).Store.root; act })
+
+  let insert t ~origin key value =
+    let r = issue t ~origin ~kind:Opstate.Insert ~key ~value:(Some value) in
+    let uid = Cluster.fresh_uid (K.cluster t) in
+    route t ~origin ~key
+      (Msg.Update { uid; u = Msg.Upsert { op = r.Opstate.id; origin; value } });
+    r.Opstate.id
+
+  let search t ~origin key =
+    let r = issue t ~origin ~kind:Opstate.Search ~key ~value:None in
+    route t ~origin ~key (Msg.Search { op = r.Opstate.id; origin });
+    r.Opstate.id
+
+  let remove t ~origin key =
+    let r = issue t ~origin ~kind:Opstate.Delete ~key ~value:None in
+    let uid = Cluster.fresh_uid (K.cluster t) in
+    route t ~origin ~key
+      (Msg.Update { uid; u = Msg.Remove { op = r.Opstate.id; origin } });
+    r.Opstate.id
+
+  let scan t ~origin ~lo ~hi =
+    let r = issue t ~origin ~kind:Opstate.Scan ~key:lo ~value:None in
+    route t ~origin ~key:lo (Msg.Scan { op = r.Opstate.id; origin; hi; acc = [] });
+    r.Opstate.id
+end

@@ -23,21 +23,6 @@ let ctr t = t.cl.Cluster.ctr
 let send t ~src ~dst msg = Cluster.send t.cl ~src ~dst msg
 let send_local t pid msg = send t ~src:pid ~dst:pid msg
 
-let reply_op t ~src op result =
-  if op >= 0 then
-    match Opstate.find t.cl.Cluster.ops op with
-    | Some r -> send t ~src ~dst:r.Opstate.origin (Msg.Op_done { op; result })
-    | None -> Fmt.failwith "Mobile: reply for unknown op %d" op
-
-(* A key guaranteed to lie inside the node's range, used to route actions
-   that concern this node (e.g. the parent's hint update) by key. *)
-let guide_key (n : Msg.value Node.t) =
-  match (n.Node.low, n.Node.high) with
-  | Bound.Key k, _ -> k
-  | Bound.Neg_inf, Bound.Key h -> h - 1
-  | Bound.Neg_inf, (Bound.Pos_inf | Bound.Neg_inf) -> 0
-  | Bound.Pos_inf, _ -> invalid_arg "Mobile.guide_key: low = +inf"
-
 (* ------------------------------------------------------------------ *)
 (* Routing with hints, forwarding addresses and missing-node recovery  *)
 
@@ -46,7 +31,9 @@ let hint_of t pid node =
   | Some (m :: _) when m <> pid -> Some m
   | Some _ | None -> None
 
-let forward t pid msg next =
+(* Single copies have no authority to fall back on: [authority] is
+   unused, and an unknown location recovers via the root. *)
+let forward t pid ~authority:_ msg next =
   let store = Cluster.store t.cl pid in
   Stats.tick (ctr t).Cluster.route_hops;
   if Store.mem store next then send_local t pid msg
@@ -116,17 +103,38 @@ let recover t pid msg ~node ~level =
 (* ------------------------------------------------------------------ *)
 (* Splits                                                              *)
 
-let issue_relink t pid ~key ~level ~start ~which ~target ~version =
-  let uid = Cluster.fresh_uid t.cl in
-  forward t pid
-    (Msg.Route
-       {
-         key;
-         level;
-         node = start;
-         act = Msg.Relink { uid; which; target; target_pid = pid; version; relayed = false };
-       })
-    start
+let grow_root t pid ~old_root ~sep ~sib_id =
+  let store = Cluster.store t.cl pid in
+  let root = Kernel_core.new_root t.cl pid ~old_root ~sep ~sib_id in
+  let id = root.Node.id in
+  old_root.Node.parent <- Some id;
+  (match Store.find store sib_id with
+  | Some c -> c.Store.node.Node.parent <- Some id
+  | None -> ());
+  ignore (Store.install store ~node:root ~pc:pid ~members:[ pid ]);
+  Cluster.hist_new_copy t.cl ~node:id ~pid ~base:[];
+  store.Store.root <- id;
+  let snap = Msg.snapshot_of_node root in
+  for p = 0 to procs t - 1 do
+    if p <> pid then send t ~src:pid ~dst:p (Msg.New_root { snap; members = [ pid ] })
+  done
+
+let start_route t ~origin msg =
+  let store = Cluster.store t.cl origin in
+  forward t origin ~authority:origin msg store.Store.root
+
+module Core = Kernel_core.Make (struct
+  type nonrec t = t
+
+  let cluster = cluster
+  let name = "Mobile"
+  let chase_left = true
+  let parent_hints = true
+  let authority pid (_ : Store.rcopy) = pid
+  let forward = forward
+  let start_route = start_route
+  let grow_root = grow_root
+end)
 
 let rec maybe_split t pid (copy : Store.rcopy) =
   if Node.too_full ~capacity:(capacity t) copy.Store.node then begin
@@ -151,60 +159,15 @@ let rec maybe_split t pid (copy : Store.rcopy) =
        so the action lands on whoever covers that range now. *)
     (match (sib.Node.right, sib.Node.high) with
     | Some r, Bound.Key h ->
-      issue_relink t pid ~key:h ~level:n.Node.level ~start:r ~which:`Left
-        ~target:sib_id ~version:sib.Node.version
+      Core.issue_relink t pid ~uid:(Cluster.fresh_uid t.cl) ~key:h
+        ~level:n.Node.level ~start:r ~which:`Left ~target:sib_id
+        ~version:sib.Node.version
     | (Some _ | None), _ -> ());
     (* Insert the sibling into the parent. *)
-    if store.Store.root = n.Node.id then grow_root t pid ~old_root:n ~sep ~sib_id
-    else begin
-      let uid' = Cluster.fresh_uid t.cl in
-      let start = Option.value n.Node.parent ~default:store.Store.root in
-      forward t pid
-        (Msg.Route
-           {
-             key = sep;
-             level = n.Node.level + 1;
-             node = start;
-             act =
-               Msg.Update
-                 {
-                   uid = uid';
-                   u = Msg.Add_child { child = sib_id; child_members = [ pid ] };
-                 };
-           })
-        start
-    end;
+    Core.complete_split t pid n ~sep ~sib_id ~child_members:[ pid ];
     Cluster.event t.cl ~pid Event.Split_end ~a:n.Node.id ~b:sib_id;
     maybe_split t pid copy
   end
-
-and grow_root t pid ~old_root ~sep ~sib_id =
-  let store = Cluster.store t.cl pid in
-  let id = Cluster.fresh_node_id t.cl in
-  let entries =
-    Entries.of_sorted_list
-      [
-        (Bound.min_sentinel, Node.Child old_root.Node.id);
-        (sep, Node.Child sib_id);
-      ]
-  in
-  let root =
-    Node.make ~id ~level:(old_root.Node.level + 1) ~low:Bound.Neg_inf
-      ~high:Bound.Pos_inf entries
-  in
-  old_root.Node.parent <- Some id;
-  (match Store.find store sib_id with
-  | Some c -> c.Store.node.Node.parent <- Some id
-  | None -> ());
-  Stats.tick (ctr t).Cluster.root_grow;
-  Cluster.event t.cl ~pid Event.Root_grow ~a:id ~b:(old_root.Node.level + 1);
-  ignore (Store.install store ~node:root ~pc:pid ~members:[ pid ]);
-  Cluster.hist_new_copy t.cl ~node:id ~pid ~base:[];
-  store.Store.root <- id;
-  let snap = Msg.snapshot_of_node root in
-  for p = 0 to procs t - 1 do
-    if p <> pid then send t ~src:pid ~dst:p (Msg.New_root { snap; members = [ pid ] })
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Performing actions                                                  *)
@@ -212,13 +175,7 @@ and grow_root t pid ~old_root ~sep ~sib_id =
 let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
   let n = copy.Store.node in
   match u with
-  | Msg.Upsert { op; value; _ } ->
-    Node.add_entry n key (Node.Data value);
-    Some (op, Msg.Inserted)
-  | Msg.Remove { op; _ } ->
-    let present = Entries.mem n.Node.entries key in
-    Node.remove_entry n key;
-    Some (op, Msg.Removed present)
+  | Msg.Upsert _ | Msg.Remove _ -> Kernel_core.apply_data n key u
   | Msg.Add_child { child; child_members } ->
     Node.add_entry n key (Node.Child child);
     (* weak: the Add_child can arrive after the child migrated *)
@@ -250,11 +207,6 @@ let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
     | None -> Stats.tick (ctr t).Cluster.reclaim_drop_stale);
     None
   end
-
-let action_kind key (u : Msg.update) =
-  match u with
-  | Msg.Upsert _ | Msg.Add_child _ -> Action.Insert { key }
-  | Msg.Remove _ | Msg.Drop_child _ -> Action.Delete { key }
 
 let which_to_action : link_tag -> _ = function
   | `Left -> `Left
@@ -319,7 +271,7 @@ let maybe_reclaim t pid (copy : Store.rcopy) =
         | Bound.Pos_inf -> None
         | Bound.Neg_inf -> assert false
       in
-      forward t pid
+      forward t pid ~authority:pid
         (Msg.Route
            {
              key = low - 1;
@@ -340,46 +292,18 @@ let maybe_reclaim t pid (copy : Store.rcopy) =
 
 let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
   match act with
-  | Msg.Search { op; origin } ->
-    let result =
-      match Node.find_leaf_value copy.Store.node key with
-      | Some v -> Msg.Found v
-      | None -> Msg.Absent
-    in
-    send t ~src:pid ~dst:origin (Msg.Op_done { op; result })
+  | Msg.Search _ | Msg.Scan _ -> Core.read t pid copy ~key ~act
   | Msg.Update { uid; u } ->
     let reply = apply_update t pid copy key u in
     Cluster.hist_record t.cl ~node:copy.Store.node.Node.id ~pid
-      ~mode:Action.Initial ~uid (action_kind key u);
+      ~mode:Action.Initial ~uid (Kernel_core.action_kind key u);
     (match reply with
-    | Some (op, result) -> reply_op t ~src:pid op result
+    | Some (op, result) -> Kernel_core.reply_op t.cl ~src:pid op result
     | None -> ());
     maybe_split t pid copy;
     (match u with
     | Msg.Remove _ -> maybe_reclaim t pid copy
     | Msg.Upsert _ | Msg.Add_child _ | Msg.Drop_child _ -> ())
-  | Msg.Scan { op; origin; hi; acc } -> begin
-    (* collect this leaf's bindings in [route key, hi], then continue
-       along the leaf chain while it still overlaps the range *)
-    let n = copy.Store.node in
-    let acc =
-      Entries.fold
-        (fun k p acc ->
-          match p with
-          | Node.Data v when k >= key && k <= hi -> (k, v) :: acc
-          | Node.Data _ | Node.Child _ -> acc)
-        n.Node.entries acc
-    in
-    match (n.Node.right, n.Node.high) with
-    | Some r, Bound.Key h when h <= hi ->
-      forward t pid
-        (Msg.Route
-           { key = h; level = 0; node = r; act = Msg.Scan { op; origin; hi; acc } })
-        r
-    | (Some _ | None), _ ->
-      send t ~src:pid ~dst:origin
-        (Msg.Op_done { op; result = Msg.Bindings (List.rev acc) })
-  end
   | Msg.Relink { uid; which; target; target_pid; version; relayed = _ } ->
     perform_relink t pid copy ~uid ~which ~target ~target_pid ~version
   | Msg.Absorb { uid; dead; dead_high_key; dead_right; dead_version } -> begin
@@ -407,13 +331,13 @@ let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
       (* fix the right neighbor's left link *)
       (match (dead_right, dead_high_key) with
       | Some r, Some h ->
-        issue_relink t pid ~key:h ~level:0 ~start:r ~which:`Left
-          ~target:n.Node.id ~version:n.Node.version
+        Core.issue_relink t pid ~uid:(Cluster.fresh_uid t.cl) ~key:h ~level:0
+          ~start:r ~which:`Left ~target:n.Node.id ~version:n.Node.version
       | (Some _ | None), _ -> ());
       (* retire the dead leaf's parent entry *)
       let uid' = Cluster.fresh_uid t.cl in
       let store = Cluster.store t.cl pid in
-      forward t pid
+      forward t pid ~authority:pid
         (Msg.Route
            {
              key = dead_low;
@@ -435,144 +359,40 @@ let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
 (* ------------------------------------------------------------------ *)
 (* Migration (§4.2) and data balancing ([14])                          *)
 
+(* Executed as a simulation event at the owner; any node but the root
+   (which is pinned) may move. *)
 let do_migrate t ~node ~to_pid =
-  (* Executed as a simulation event at the owner. *)
-  let owner =
-    Array.fold_left
-      (fun acc store -> if Store.mem store node then Some store else acc)
-      None t.cl.Cluster.stores
-  in
-  match owner with
-  | None -> Stats.tick (ctr t).Cluster.migrate_skipped
-  | Some store when store.Store.pid = to_pid -> Stats.tick (ctr t).Cluster.migrate_skipped
+  match Kernel_core.migration_owner t.cl ~node ~to_pid with
+  | None -> ()
+  | Some store when store.Store.root = node ->
+    Stats.tick (ctr t).Cluster.migrate_skipped
   | Some store ->
-    let pid = store.Store.pid in
-    let copy = Store.get store node in
-    if store.Store.root = node then Stats.tick (ctr t).Cluster.migrate_skipped
-    else begin
-      let n = copy.Store.node in
-      n.Node.version <- n.Node.version + 1;
-      let base = Cluster.hist_snapshot t.cl ~node ~pid in
-      let snap = Msg.snapshot_of_node ~base n in
-      Store.remove store node;
-      Cluster.hist_retire t.cl ~node ~pid;
-      if (config t).Config.forwarding then
-        Hashtbl.replace store.Store.forwarding node to_pid;
-      Store.learn store node [ to_pid ];
-      t.migrations <- t.migrations + 1;
-      Stats.tick (ctr t).Cluster.migrate_count;
-      Cluster.event t.cl ~pid Event.Migrate ~a:node ~b:to_pid;
-      send t ~src:pid ~dst:to_pid
-        (Msg.Migrate_install { snap; ancestors = []; from_pid = pid })
-    end
+    t.migrations <- t.migrations + 1;
+    Kernel_core.ship t.cl store (Store.get store node) ~to_pid ~ancestors:[]
 
-let handle_migrate_install t pid ~(snap : Msg.snapshot) ~from_pid =
-  let store = Cluster.store t.cl pid in
-  let node = Msg.node_of_snapshot snap in
+(* Install the moved node, link-change its neighbours and its parent to
+   the new location, and re-run anything parked here for it. *)
+let handle_migrate_install t pid ~snap =
+  let node = Core.migrate_in t pid snap in
   let id = node.Node.id in
-  ignore (Store.install store ~node ~pc:pid ~members:[ pid ]);
-  Hashtbl.remove store.Store.forwarding id;
-  Cluster.hist_new_copy t.cl ~node:id ~pid ~base:snap.Msg.s_base;
-  Cluster.hist_record t.cl ~node:id ~pid ~mode:Action.Initial
-    ~version:node.Node.version
-    ~uid:(Cluster.fresh_uid t.cl)
-    (Action.Migrate { to_pid = pid });
-  ignore from_pid;
-  (* Inform the neighbors (left, right, parent) with link-changes. *)
-  let v = node.Node.version in
-  (match (node.Node.left, node.Node.low) with
-  | Some l, Bound.Key low ->
-    issue_relink t pid ~key:(low - 1) ~level:node.Node.level ~start:l
-      ~which:`Right ~target:id ~version:v
-  | (Some _ | None), _ -> ());
-  (match (node.Node.right, node.Node.high) with
-  | Some r, Bound.Key high ->
-    issue_relink t pid ~key:high ~level:node.Node.level ~start:r ~which:`Left
-      ~target:id ~version:v
-  | (Some _ | None), _ -> ());
   (match node.Node.parent with
   | Some p ->
-    issue_relink t pid ~key:(guide_key node) ~level:(node.Node.level + 1)
-      ~start:p ~which:(`Child id) ~target:id ~version:v
+    Core.issue_relink t pid ~uid:(Cluster.fresh_uid t.cl)
+      ~key:(Kernel_core.guide_key node) ~level:(node.Node.level + 1) ~start:p
+      ~which:(`Child id) ~target:id ~version:node.Node.version
   | None -> ());
-  (* Re-run anything parked here for this node. *)
-  List.iter (send_local t pid) (Store.take_pending store id)
+  Cluster.unpark t.cl ~pid ~node:id
 
-(* Periodic leaf balancer: move one leaf from the most to the least loaded
-   processor whenever the spread exceeds one. *)
-let leaf_counts t =
-  Array.map
-    (fun store ->
-      let count = ref 0 in
-      Store.iter store (fun c -> if Node.is_leaf c.Store.node then incr count);
-      !count)
-    t.cl.Cluster.stores
-
-let balance_step t =
-  let counts = leaf_counts t in
-  let hi = ref 0 and lo = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if c > counts.(!hi) then hi := i;
-      if c < counts.(!lo) then lo := i)
-    counts;
-  if counts.(!hi) - counts.(!lo) >= 2 then begin
-    (* migrate the fullest leaf of the overloaded processor *)
-    let store = Cluster.store t.cl !hi in
-    let victim = ref None in
-    Store.iter store (fun c ->
-        if Node.is_leaf c.Store.node && store.Store.root <> c.Store.node.Node.id
-        then
-          match !victim with
-          | Some (size, _) when size >= Node.size c.Store.node -> ()
-          | Some _ | None ->
-            victim := Some (Node.size c.Store.node, c.Store.node.Node.id));
-    match !victim with
-    | Some (_, id) -> do_migrate t ~node:id ~to_pid:!lo
-    | None -> ()
-  end
+let leaf_counts t = Kernel_core.leaf_counts t.cl
 
 (* ------------------------------------------------------------------ *)
 (* Message handler                                                     *)
 
 let handle_route t pid ~key ~level ~node ~act =
-  let store = Cluster.store t.cl pid in
-  match Store.find store node with
+  match Store.find (Cluster.store t.cl pid) node with
   | None -> recover t pid (Msg.Route { key; level; node; act }) ~node ~level
   | Some copy ->
-    Cluster.touch t.cl ~node;
-    let n = copy.Store.node in
-    if n.Node.level > level then begin
-      match Node.step n key with
-      | Node.Chase_right r ->
-        Stats.tick (ctr t).Cluster.route_chase;
-        forward t pid (Msg.Route { key; level; node = r; act }) r
-      | Node.Chase_left l ->
-        Stats.tick (ctr t).Cluster.route_chase;
-        forward t pid (Msg.Route { key; level; node = l; act }) l
-      | Node.Descend c -> forward t pid (Msg.Route { key; level; node = c; act }) c
-      | Node.Here | Node.Dead_end ->
-        Fmt.failwith "Mobile: bad navigation at node %d for key %d" node key
-    end
-    else if n.Node.level < level then begin
-      (* Restart upward via the parent hint (or the root). *)
-      let start = Option.value n.Node.parent ~default:store.Store.root in
-      Stats.tick (ctr t).Cluster.route_up;
-      forward t pid (Msg.Route { key; level; node = start; act }) start
-    end
-    else if Bound.compare_key n.Node.high key <= 0 then begin
-      Stats.tick (ctr t).Cluster.route_chase;
-      match n.Node.right with
-      | Some r -> forward t pid (Msg.Route { key; level; node = r; act }) r
-      | None -> Fmt.failwith "Mobile: dead end right at node %d key %d" node key
-    end
-    else if Bound.compare_key n.Node.low key > 0 then begin
-      Stats.tick (ctr t).Cluster.route_chase;
-      match n.Node.left with
-      | Some l -> forward t pid (Msg.Route { key; level; node = l; act }) l
-      | None -> Fmt.failwith "Mobile: dead end left at node %d key %d" node key
-    end
-    else perform t pid copy ~key ~act
+    if Core.navigate t pid copy ~key ~level ~act then perform t pid copy ~key ~act
 
 let handle t pid ~src:_ msg =
   match msg with
@@ -581,8 +401,7 @@ let handle t pid ~src:_ msg =
   (* dbflow: class lazy -- completion funnel at the origin, independent of any copy's role *)
   | Msg.Op_done { op; result } -> Cluster.op_complete t.cl ~op ~result
   (* dbflow: class lazy -- a moved node installs wholesale; forwarding addresses cover the race (§4.2) *)
-  | Msg.Migrate_install { snap; from_pid; _ } ->
-    handle_migrate_install t pid ~snap ~from_pid
+  | Msg.Migrate_install { snap; _ } -> handle_migrate_install t pid ~snap
   (* dbflow: class lazy -- root adoption: processors may learn the new root in any order (§4.3) *)
   | Msg.New_root { snap; members } ->
     let store = Cluster.store t.cl pid in
@@ -597,51 +416,26 @@ let handle t pid ~src:_ msg =
 (* ------------------------------------------------------------------ *)
 (* Bootstrap and public API                                            *)
 
+(* The initial tree: every node single-copy, the root pinned at
+   processor 0 and each leaf at its slice's processor. *)
 let bootstrap t =
   let cl = t.cl in
-  let nprocs = procs t in
-  let leaves =
-    List.init nprocs (fun p ->
-        let lo, hi = Partition.slice cl.Cluster.partition p in
-        let low = if p = 0 then Bound.Neg_inf else Bound.Key lo in
-        let high = if p = nprocs - 1 then Bound.Pos_inf else Bound.Key hi in
-        let id = Cluster.fresh_node_id cl in
-        (p, lo, Node.make ~id ~level:0 ~low ~high Entries.empty))
-  in
-  let rec link = function
-    | (_, _, a) :: ((_, _, b) :: _ as rest) ->
-      a.Node.right <- Some b.Node.id;
-      b.Node.left <- Some a.Node.id;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link leaves;
-  let root_id = Cluster.fresh_node_id cl in
-  let root_entries =
-    Entries.of_sorted_list
-      (List.map
-         (fun (p, lo, node) ->
-           ((if p = 0 then Bound.min_sentinel else lo), Node.Child node.Node.id))
-         leaves)
-  in
-  let root =
-    Node.make ~id:root_id ~level:1 ~low:Bound.Neg_inf ~high:Bound.Pos_inf
-      root_entries
-  in
-  List.iter (fun (_, _, n) -> n.Node.parent <- Some root_id) leaves;
-  for pid = 0 to nprocs - 1 do
+  let leaves, root = Kernel_core.initial_tree cl in
+  let root_id = root.Node.id in
+  List.iter (fun (_, (n : Msg.value Node.t)) -> n.Node.parent <- Some root_id) leaves;
+  for pid = 0 to procs t - 1 do
     let store = Cluster.store cl pid in
     store.Store.root <- root_id;
     Store.learn store root_id [ 0 ];
     List.iter
-      (fun (p, _, node) -> Store.learn store node.Node.id [ p ])
+      (fun (p, (node : Msg.value Node.t)) -> Store.learn store node.Node.id [ p ])
       leaves
   done;
   ignore
     (Store.install (Cluster.store cl 0) ~node:root ~pc:0 ~members:[ 0 ]);
   Cluster.hist_new_copy cl ~node:root_id ~pid:0 ~base:[];
   List.iter
-    (fun (p, _, node) ->
+    (fun (p, (node : Msg.value Node.t)) ->
       ignore (Store.install (Cluster.store cl p) ~node ~pc:p ~members:[ p ]);
       Cluster.hist_new_copy cl ~node:node.Node.id ~pid:p ~base:[])
     leaves
@@ -664,94 +458,14 @@ let create cfg =
         handle t pid ~src msg)
   done;
   bootstrap t;
-  if cfg.Config.balance_period > 0 then begin
-    (* The balancer re-arms only while other work is pending, so a drained
-       simulation still quiesces. *)
-    let rec tick () =
-      if Sim.pending cl.Cluster.sim > 0 then begin
-        balance_step t;
-        Sim.schedule cl.Cluster.sim ~delay:cfg.Config.balance_period tick
-      end
-    in
-    Sim.schedule cl.Cluster.sim ~delay:cfg.Config.balance_period tick
-  end;
+  Kernel_core.start_balancer cl do_migrate t;
   t
 
-let start_route t ~origin msg =
-  let store = Cluster.store t.cl origin in
-  forward t origin msg store.Store.root
-
-let insert t ~origin key value =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Insert ~key
-      ~value:(Some value) ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  let uid = Cluster.fresh_uid t.cl in
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act =
-           Msg.Update { uid; u = Msg.Upsert { op = r.Opstate.id; origin; value } };
-       });
-  r.Opstate.id
-
-let search t ~origin key =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Search ~key ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Search { op = r.Opstate.id; origin };
-       });
-  r.Opstate.id
-
-let remove t ~origin key =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Delete ~key ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  let uid = Cluster.fresh_uid t.cl in
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Update { uid; u = Msg.Remove { op = r.Opstate.id; origin } };
-       });
-  r.Opstate.id
-
-
-let scan t ~origin ~lo ~hi =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Scan ~key:lo ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  start_route t ~origin
-    (Msg.Route
-       {
-         key = lo;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Scan { op = r.Opstate.id; origin; hi; acc = [] };
-       });
-  r.Opstate.id
-
-let migrate t ~node ~to_pid =
-  if to_pid < 0 || to_pid >= procs t then invalid_arg "Mobile.migrate: bad pid";
-  Sim.schedule t.cl.Cluster.sim ~delay:0 (fun () -> do_migrate t ~node ~to_pid)
+let insert = Core.insert
+let search = Core.search
+let remove = Core.remove
+let scan = Core.scan
+let migrate t ~node ~to_pid = Kernel_core.schedule_migrate t.cl do_migrate t ~node ~to_pid
 
 let gc_forwarding t =
   Array.iter

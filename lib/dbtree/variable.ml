@@ -27,28 +27,9 @@ let ctr t = t.cl.Cluster.ctr
 let send t ~src ~dst msg = Cluster.send t.cl ~src ~dst msg
 let send_local t pid msg = send t ~src:pid ~dst:pid msg
 
-let reply_op t ~src op result =
-  if op >= 0 then
-    match Opstate.find t.cl.Cluster.ops op with
-    | Some r -> send t ~src ~dst:r.Opstate.origin (Msg.Op_done { op; result })
-    | None -> Fmt.failwith "Variable: reply for unknown op %d" op
-
-let guide_key (n : Msg.value Node.t) =
-  match (n.Node.low, n.Node.high) with
-  | Bound.Key k, _ -> k
-  | Bound.Neg_inf, Bound.Key h -> h - 1
-  | Bound.Neg_inf, (Bound.Pos_inf | Bound.Neg_inf) -> 0
-  | Bound.Pos_inf, _ -> invalid_arg "Variable.guide_key: low = +inf"
-
-let choose_member t members =
-  match members with
-  | [ m ] -> m
-  | ms ->
-    (* Same single [Rng.int] draw as [Rng.pick], minus the per-hop
-       intermediate array. *)
-    List.nth ms (Rng.int (Sim.rng t.cl.Cluster.sim) (List.length ms))
-
-let forward ?authority t pid msg next =
+(* Forward a routed action towards node [next]: locally when we hold a
+   copy, otherwise to some other member. *)
+let forward t pid ~authority msg next =
   let store = Cluster.store t.cl pid in
   Stats.tick (ctr t).Cluster.route_hops;
   if Store.mem store next then send_local t pid msg
@@ -56,15 +37,14 @@ let forward ?authority t pid msg next =
     match Store.members_opt store next with
     | Some members when List.exists (fun m -> m <> pid) members ->
       let members = List.filter (fun m -> m <> pid) members in
-      send t ~src:pid ~dst:(choose_member t members) msg
-    | Some _ | None -> (
+      send t ~src:pid ~dst:(Kernel_core.choose_member t.cl members) msg
+    | Some _ | None ->
       Stats.tick (ctr t).Cluster.route_lost_hint;
       (* Unknown location.  Hand the action to the PC of the node that
          referenced [next] — the PC learned every child and sibling it
          ever pointed to.  Without an authority, restart at the root. *)
-      match authority with
-      | Some a when a <> pid -> send t ~src:pid ~dst:a msg
-      | Some _ | None -> (
+      if authority <> pid then send t ~src:pid ~dst:authority msg
+      else begin
         match msg with
         | Msg.Route r ->
           if r.node = store.Store.root then
@@ -77,31 +57,18 @@ let forward ?authority t pid msg next =
         | Msg.Join_copy _ | Msg.Relay_member _ | Msg.Unjoin_request _ ->
           (* Only routed actions restart at the root; control traffic is
              addressed to a concrete processor and must never be lost. *)
-          Fmt.failwith "Variable: cannot reroute %s" (Msg.kind msg)))
+          Fmt.failwith "Variable: cannot reroute %s" (Msg.kind msg)
+      end
 
-let action_kind key (u : Msg.update) =
-  match u with
-  | Msg.Upsert _ | Msg.Add_child _ -> Action.Insert { key }
-  | Msg.Remove _ | Msg.Drop_child _ -> Action.Delete { key }
-
-let silence (u : Msg.update) =
-  match u with
-  | Msg.Upsert { value; _ } -> Msg.Upsert { op = -1; origin = 0; value }
-  | Msg.Remove _ -> Msg.Remove { op = -1; origin = 0 }
-  | Msg.Add_child _ | Msg.Drop_child _ -> u
+(* The root is replicated everywhere: every route starts locally. *)
+let start_route t ~origin msg = send_local t origin msg
 
 let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
   let n = copy.Store.node in
   let store = Cluster.store t.cl pid in
   let reply =
     match u with
-    | Msg.Upsert { op; value; _ } ->
-      Node.add_entry n key (Node.Data value);
-      Some (op, Msg.Inserted)
-    | Msg.Remove { op; _ } ->
-      let present = Entries.mem n.Node.entries key in
-      Node.remove_entry n key;
-      Some (op, Msg.Removed present)
+    | Msg.Upsert _ | Msg.Remove _ -> Kernel_core.apply_data n key u
     | Msg.Add_child { child; child_members } ->
       Node.add_entry n key (Node.Child child);
       (* weak: a relayed Add_child can arrive after the child migrated *)
@@ -136,34 +103,34 @@ let catchup t pid (copy : Store.rcopy) ~uid ~key ~u ~version ~sender =
 (* ------------------------------------------------------------------ *)
 (* Splits                                                              *)
 
-let issue_relink t pid ~key ~level ~start ~which ~target ~version =
-  (* Child-hint changes are per-store directory maintenance, not node
-     updates: they stay outside the history model (uid -1). *)
-  let uid =
-    match which with `Child _ -> -1 | `Left | `Right -> Cluster.fresh_uid t.cl
-  in
-  forward t pid
-    (Msg.Route
-       {
-         key;
-         level;
-         node = start;
-         act =
-           Msg.Relink
-             { uid; which; target; target_pid = pid; version; relayed = false };
-       })
-    start
+let grow_root t pid ~old_root ~sep ~sib_id =
+  let store = Cluster.store t.cl pid in
+  let members = pid :: List.filter (fun m -> m <> pid) (List.init (procs t) Fun.id) in
+  let root = Kernel_core.new_root t.cl pid ~old_root ~sep ~sib_id in
+  let id = root.Node.id in
+  List.iter (fun m -> Cluster.hist_new_copy t.cl ~node:id ~pid:m ~base:[]) members;
+  ignore (Store.install store ~node:root ~pc:pid ~members);
+  Store.set_root store id;
+  let snap = Msg.snapshot_of_node root in
+  List.iter
+    (fun m ->
+      if m <> pid then send t ~src:pid ~dst:m (Msg.New_root { snap; members }))
+    members
 
-let rec maybe_split t pid (copy : Store.rcopy) =
-  if
-    pid = copy.Store.pc
-    && Node.too_full ~capacity:(capacity t) copy.Store.node
-  then begin
-    do_split t pid copy;
-    maybe_split t pid copy
-  end
+module Core = Kernel_core.Make (struct
+  type nonrec t = t
 
-and do_split t pid (copy : Store.rcopy) =
+  let cluster = cluster
+  let name = "Variable"
+  let chase_left = true
+  let parent_hints = false
+  let authority _ (copy : Store.rcopy) = copy.Store.pc
+  let forward = forward
+  let start_route = start_route
+  let grow_root = grow_root
+end)
+
+let do_split t pid (copy : Store.rcopy) =
   let n = copy.Store.node in
   let store = Cluster.store t.cl pid in
   let uid = Cluster.fresh_uid t.cl in
@@ -226,61 +193,26 @@ and do_split t pid (copy : Store.rcopy) =
   if Node.is_leaf n then begin
     match (sib.Node.right, sib.Node.high) with
     | Some r, Bound.Key h ->
-      issue_relink t pid ~key:h ~level:0 ~start:r ~which:`Left ~target:sib_id
-        ~version:sib.Node.version
+      Core.issue_relink t pid ~uid:(Cluster.fresh_uid t.cl) ~key:h ~level:0
+        ~start:r ~which:`Left ~target:sib_id ~version:sib.Node.version
     | (Some _ | None), _ -> ()
   end;
-  (if store.Store.root = n.Node.id then
-     grow_root t pid ~old_root:n ~sep ~sib_id
-   else begin
-     let uid' = Cluster.fresh_uid t.cl in
-     forward t pid
-       (Msg.Route
-          {
-            key = sep;
-            level = n.Node.level + 1;
-            node = store.Store.root;
-            act =
-              Msg.Update
-                {
-                  uid = uid';
-                  u = Msg.Add_child { child = sib_id; child_members = sibling_members };
-                };
-          })
-       store.Store.root
-   end);
+  Core.complete_split t pid n ~sep ~sib_id ~child_members:sibling_members;
   Cluster.event t.cl ~pid Event.Split_end ~a:n.Node.id ~b:sib_id
 
-and grow_root t pid ~old_root ~sep ~sib_id =
-  let store = Cluster.store t.cl pid in
-  let members = pid :: List.filter (fun m -> m <> pid) (List.init (procs t) Fun.id) in
-  let id = Cluster.fresh_node_id t.cl in
-  let entries =
-    Entries.of_sorted_list
-      [
-        (Bound.min_sentinel, Node.Child old_root.Node.id);
-        (sep, Node.Child sib_id);
-      ]
-  in
-  let root =
-    Node.make ~id ~level:(old_root.Node.level + 1) ~low:Bound.Neg_inf
-      ~high:Bound.Pos_inf entries
-  in
-  Stats.tick (ctr t).Cluster.root_grow;
-  Cluster.event t.cl ~pid Event.Root_grow ~a:id ~b:(old_root.Node.level + 1);
-  List.iter (fun m -> Cluster.hist_new_copy t.cl ~node:id ~pid:m ~base:[]) members;
-  ignore (Store.install store ~node:root ~pc:pid ~members);
-  Store.set_root store id;
-  let snap = Msg.snapshot_of_node root in
-  List.iter
-    (fun m ->
-      if m <> pid then send t ~src:pid ~dst:m (Msg.New_root { snap; members }))
-    members
+let rec maybe_split t pid (copy : Store.rcopy) =
+  if
+    pid = copy.Store.pc
+    && Node.too_full ~capacity:(capacity t) copy.Store.node
+  then begin
+    do_split t pid copy;
+    maybe_split t pid copy
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Link changes (on leaves and on replicated parents' child hints)     *)
 
-and perform_relink t pid (copy : Store.rcopy) ~uid ~which ~target ~target_pid
+let perform_relink t pid (copy : Store.rcopy) ~uid ~which ~target ~target_pid
     ~version ~relayed =
   let n = copy.Store.node in
   let store = Cluster.store t.cl pid in
@@ -318,7 +250,7 @@ and perform_relink t pid (copy : Store.rcopy) ~uid ~which ~target ~target_pid
           send t ~src:pid ~dst:m
             (Msg.Route
                {
-                 key = guide_key n;
+                 key = Kernel_core.guide_key n;
                  level = n.Node.level;
                  node = n.Node.id;
                  act =
@@ -330,54 +262,33 @@ and perform_relink t pid (copy : Store.rcopy) ~uid ~which ~target ~target_pid
 (* ------------------------------------------------------------------ *)
 (* Performing routed actions                                           *)
 
-and perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
+let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
   match act with
-  | Msg.Search { op; origin } ->
-    let result =
-      match Node.find_leaf_value copy.Store.node key with
-      | Some v -> Msg.Found v
-      | None -> Msg.Absent
-    in
-    send t ~src:pid ~dst:origin (Msg.Op_done { op; result })
+  | Msg.Search _ | Msg.Scan _ -> Core.read t pid copy ~key ~act
   | Msg.Update { uid; u } ->
     let n = copy.Store.node in
     let version = n.Node.version in
     let reply = apply_update t pid copy key u in
     Cluster.hist_record t.cl ~node:n.Node.id ~pid ~mode:Action.Initial ~uid
-      (action_kind key u);
+      (Kernel_core.action_kind key u);
     (match reply with
-    | Some (op, result) -> reply_op t ~src:pid op result
+    | Some (op, result) -> Kernel_core.reply_op t.cl ~src:pid op result
     | None -> ());
     List.iter
       (fun m ->
         if m <> pid then
           send t ~src:pid ~dst:m
             (Msg.Relay_update
-               { uid; node = n.Node.id; key; u = silence u; version; sender = pid }))
+               {
+                 uid;
+                 node = n.Node.id;
+                 key;
+                 u = Kernel_core.silence u;
+                 version;
+                 sender = pid;
+               }))
       copy.Store.members;
     maybe_split t pid copy
-  | Msg.Scan { op; origin; hi; acc } -> begin
-    (* collect this leaf's bindings in [route key, hi], then continue
-       along the leaf chain while it still overlaps the range *)
-    let n = copy.Store.node in
-    let acc =
-      Entries.fold
-        (fun k p acc ->
-          match p with
-          | Node.Data v when k >= key && k <= hi -> (k, v) :: acc
-          | Node.Data _ | Node.Child _ -> acc)
-        n.Node.entries acc
-    in
-    match (n.Node.right, n.Node.high) with
-    | Some r, Bound.Key h when h <= hi ->
-      forward t pid
-        (Msg.Route
-           { key = h; level = 0; node = r; act = Msg.Scan { op; origin; hi; acc } })
-        r
-    | (Some _ | None), _ ->
-      send t ~src:pid ~dst:origin
-        (Msg.Op_done { op; result = Msg.Bindings (List.rev acc) })
-  end
   | Msg.Relink { uid; which; target; target_pid; version; relayed } ->
     perform_relink t pid copy ~uid ~which ~target ~target_pid ~version ~relayed
   | Msg.Absorb _ ->
@@ -388,8 +299,7 @@ and perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
 
 (* The leaf's ancestor path as this processor sees it (path-replication
    gives the owner a local copy of every ancestor). *)
-and local_ancestors t pid key =
-  let store = Cluster.store t.cl pid in
+let local_ancestors store key =
   let rec go id acc =
     match Store.find store id with
     | Some c when not (Node.is_leaf c.Store.node) -> (
@@ -404,36 +314,40 @@ and local_ancestors t pid key =
   (* bottom-up order: parent first *)
   go store.Store.root []
 
-and do_migrate t ~node ~to_pid =
-  let owner =
-    Array.fold_left
-      (fun acc store -> if Store.mem store node then Some store else acc)
-      None t.cl.Cluster.stores
+let has_local_leaf_in store (acopy : Store.rcopy) =
+  let a = acopy.Store.node in
+  let overlaps (l : Msg.value Node.t) =
+    Node.is_leaf l
+    && Bound.compare a.Node.low l.Node.high < 0
+    && Bound.compare l.Node.low a.Node.high < 0
   in
-  match owner with
-  | None -> Stats.tick (ctr t).Cluster.migrate_skipped
-  | Some store when store.Store.pid = to_pid ->
-    Stats.tick (ctr t).Cluster.migrate_skipped
+  let found = ref false in
+  Store.iter store (fun c -> if overlaps c.Store.node then found := true);
+  !found
+
+let do_unjoin t pid (acopy : Store.rcopy) =
+  let store = Cluster.store t.cl pid in
+  let node = acopy.Store.node.Node.id in
+  t.unjoins <- t.unjoins + 1;
+  Stats.tick (ctr t).Cluster.unjoin_count;
+  Cluster.event t.cl ~pid Event.Unjoin ~a:node ~b:pid;
+  Store.remove store node;
+  Store.depart store node;
+  Cluster.hist_retire t.cl ~node ~pid;
+  Store.learn store node (List.filter (fun m -> m <> pid) acopy.Store.members);
+  send t ~src:pid ~dst:acopy.Store.pc (Msg.Unjoin_request { node; pid })
+
+let do_migrate t ~node ~to_pid =
+  match Kernel_core.migration_owner t.cl ~node ~to_pid with
+  | None -> ()
   | Some store ->
     let pid = store.Store.pid in
     let copy = Store.get store node in
     if not (Node.is_leaf copy.Store.node) then Stats.tick (ctr t).Cluster.migrate_skipped
     else begin
-      let n = copy.Store.node in
-      n.Node.version <- n.Node.version + 1;
-      let base = Cluster.hist_snapshot t.cl ~node ~pid in
-      let snap = Msg.snapshot_of_node ~base n in
-      let ancestors = local_ancestors t pid (guide_key n) in
-      Store.remove store node;
-      Cluster.hist_retire t.cl ~node ~pid;
-      if (config t).Config.forwarding then
-        Store.set_forwarding store node to_pid;
-      Store.learn store node [ to_pid ];
+      let ancestors = local_ancestors store (Kernel_core.guide_key copy.Store.node) in
       t.migrations <- t.migrations + 1;
-      Stats.tick (ctr t).Cluster.migrate_count;
-      Cluster.event t.cl ~pid Event.Migrate ~a:node ~b:to_pid;
-      send t ~src:pid ~dst:to_pid
-        (Msg.Migrate_install { snap; ancestors; from_pid = pid });
+      Kernel_core.ship t.cl store copy ~to_pid ~ancestors;
       (* Unjoin the replications this processor no longer needs: ancestors
          with no remaining local leaf in range (the PC and the root never
          unjoin). *)
@@ -449,55 +363,15 @@ and do_migrate t ~node ~to_pid =
         ancestors
     end
 
-and has_local_leaf_in store (acopy : Store.rcopy) =
-  let a = acopy.Store.node in
-  let overlaps (l : Msg.value Node.t) =
-    Node.is_leaf l
-    && Bound.compare a.Node.low l.Node.high < 0
-    && Bound.compare l.Node.low a.Node.high < 0
-  in
-  let found = ref false in
-  Store.iter store (fun c -> if overlaps c.Store.node then found := true);
-  !found
-
-and do_unjoin t pid (acopy : Store.rcopy) =
+let handle_migrate_install t pid ~snap ~ancestors =
   let store = Cluster.store t.cl pid in
-  let node = acopy.Store.node.Node.id in
-  t.unjoins <- t.unjoins + 1;
-  Stats.tick (ctr t).Cluster.unjoin_count;
-  Cluster.event t.cl ~pid Event.Unjoin ~a:node ~b:pid;
-  Store.remove store node;
-  Store.depart store node;
-  Cluster.hist_retire t.cl ~node ~pid;
-  Store.learn store node (List.filter (fun m -> m <> pid) acopy.Store.members);
-  send t ~src:pid ~dst:acopy.Store.pc (Msg.Unjoin_request { node; pid })
-
-and handle_migrate_install t pid ~(snap : Msg.snapshot) ~ancestors ~from_pid =
-  let store = Cluster.store t.cl pid in
-  let node = Msg.node_of_snapshot snap in
+  let node = Core.migrate_in t pid snap in
   let id = node.Node.id in
-  ignore (Store.install store ~node ~pc:pid ~members:[ pid ]);
-  Store.clear_forwarding store id;
-  Store.undepart store id;
-  Cluster.hist_new_copy t.cl ~node:id ~pid ~base:snap.Msg.s_base;
-  Cluster.hist_record t.cl ~node:id ~pid ~mode:Action.Initial
-    ~version:node.Node.version
-    ~uid:(Cluster.fresh_uid t.cl)
-    (Action.Migrate { to_pid = pid });
-  ignore from_pid;
-  let v = node.Node.version in
-  (match (node.Node.left, node.Node.low) with
-  | Some l, Bound.Key low ->
-    issue_relink t pid ~key:(low - 1) ~level:node.Node.level ~start:l
-      ~which:`Right ~target:id ~version:v
-  | (Some _ | None), _ -> ());
-  (match (node.Node.right, node.Node.high) with
-  | Some r, Bound.Key high ->
-    issue_relink t pid ~key:high ~level:node.Node.level ~start:r ~which:`Left
-      ~target:id ~version:v
-  | (Some _ | None), _ -> ());
-  issue_relink t pid ~key:(guide_key node) ~level:(node.Node.level + 1)
-    ~start:store.Store.root ~which:(`Child id) ~target:id ~version:v;
+  (* Child-hint changes are per-store directory maintenance, not node
+     updates: they stay outside the history model (uid -1). *)
+  Core.issue_relink t pid ~uid:(-1) ~key:(Kernel_core.guide_key node)
+    ~level:(node.Node.level + 1) ~start:store.Store.root ~which:(`Child id)
+    ~target:id ~version:node.Node.version;
   (* Path replication: join every ancestor we do not already maintain. *)
   List.iter
     (fun (aid, hints) ->
@@ -510,7 +384,7 @@ and handle_migrate_install t pid ~(snap : Msg.snapshot) ~ancestors ~from_pid =
         | _ :: _ | [] -> ()
       end)
     ancestors;
-  List.iter (send_local t pid) (Store.take_pending store id)
+  Cluster.unpark t.cl ~pid ~node:id
 
 (* ------------------------------------------------------------------ *)
 (* Message handler                                                     *)
@@ -534,7 +408,9 @@ let handle_route t pid ~key ~level ~node ~act =
         | Some members when List.exists (fun m -> m <> pid) members ->
           Stats.tick (ctr t).Cluster.recover_hinted;
           send t ~src:pid
-            ~dst:(choose_member t (List.filter (fun m -> m <> pid) members))
+            ~dst:
+              (Kernel_core.choose_member t.cl
+                 (List.filter (fun m -> m <> pid) members))
             msg
         | Some _ | None ->
           (* A routed action carries its key: restart the navigation from
@@ -544,47 +420,7 @@ let handle_route t pid ~key ~level ~node ~act =
           send_local t pid
             (Msg.Route { key; level; node = store.Store.root; act })))
   | Some copy ->
-    Cluster.touch t.cl ~node;
-    let n = copy.Store.node in
-    if n.Node.level > level then begin
-      let authority = copy.Store.pc in
-      match Node.step n key with
-      | Node.Chase_right r ->
-        Stats.tick (ctr t).Cluster.route_chase;
-        forward ~authority t pid (Msg.Route { key; level; node = r; act }) r
-      | Node.Chase_left l ->
-        Stats.tick (ctr t).Cluster.route_chase;
-        forward ~authority t pid (Msg.Route { key; level; node = l; act }) l
-      | Node.Descend c ->
-        forward ~authority t pid (Msg.Route { key; level; node = c; act }) c
-      | Node.Here | Node.Dead_end ->
-        Fmt.failwith "Variable: bad navigation at node %d key %d" node key
-    end
-    else if n.Node.level < level then begin
-      Stats.tick (ctr t).Cluster.route_up;
-      forward t pid
-        (Msg.Route { key; level; node = store.Store.root; act })
-        store.Store.root
-    end
-    else if Bound.compare_key n.Node.high key <= 0 then begin
-      Stats.tick (ctr t).Cluster.route_chase;
-      match n.Node.right with
-      | Some r ->
-        forward ~authority:copy.Store.pc t pid
-          (Msg.Route { key; level; node = r; act })
-          r
-      | None -> Fmt.failwith "Variable: dead end right at node %d key %d" node key
-    end
-    else if Bound.compare_key n.Node.low key > 0 then begin
-      Stats.tick (ctr t).Cluster.route_chase;
-      match n.Node.left with
-      | Some l ->
-        forward ~authority:copy.Store.pc t pid
-          (Msg.Route { key; level; node = l; act })
-          l
-      | None -> Fmt.failwith "Variable: dead end left at node %d key %d" node key
-    end
-    else perform t pid copy ~key ~act
+    if Core.navigate t pid copy ~key ~level ~act then perform t pid copy ~key ~act
 
 let handle_relay t pid ~uid ~node ~key ~u ~version ~sender =
   let store = Cluster.store t.cl pid in
@@ -592,11 +428,9 @@ let handle_relay t pid ~uid ~node ~key ~u ~version ~sender =
   | None ->
     if Hashtbl.mem store.Store.departed node then
       Stats.tick (ctr t).Cluster.relay_to_departed
-    else begin
-      Stats.tick (ctr t).Cluster.route_parked;
-      Store.add_pending store node
+    else
+      Cluster.park t.cl ~pid ~node
         (Msg.Relay_update { uid; node; key; u; version; sender })
-    end
   | Some copy ->
     Cluster.touch t.cl ~node;
     if pid = copy.Store.pc then
@@ -604,13 +438,13 @@ let handle_relay t pid ~uid ~node ~key ~u ~version ~sender =
     if Node.in_range copy.Store.node key then begin
       ignore (apply_update t pid copy key u);
       Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed ~uid
-        (action_kind key u);
+        (Kernel_core.action_kind key u);
       Stats.tick (ctr t).Cluster.relay_applied;
       maybe_split t pid copy
     end
     else begin
       Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed
-        ~effective:false ~uid (action_kind key u);
+        ~effective:false ~uid (Kernel_core.action_kind key u);
       Stats.tick (ctr t).Cluster.relay_discarded;
       if pid = copy.Store.pc then begin
         (* §4.1.2 history rewriting: forward to the right sibling. *)
@@ -618,7 +452,7 @@ let handle_relay t pid ~uid ~node ~key ~u ~version ~sender =
         let uid' = Cluster.fresh_uid t.cl in
         match copy.Store.node.Node.right with
         | Some r ->
-          forward t pid
+          forward t pid ~authority:pid
             (Msg.Route
                {
                  key;
@@ -653,7 +487,7 @@ let apply_remote_split t pid (copy : Store.rcopy) ~uid ~sep ~sibling
          ~pc:(Cluster.pc_of_members_exn sibling_members)
          ~members:sibling_members);
     Store.undepart store sibling.Msg.s_id;
-    List.iter (send_local t pid) (Store.take_pending store sibling.Msg.s_id)
+    Cluster.unpark t.cl ~pid ~node:sibling.Msg.s_id
   end
 
 (* Grant leg of a join (or re-join): ship the requester a snapshot of the
@@ -742,7 +576,7 @@ let handle_join_copy t pid ~node ~(snap : Msg.snapshot) ~members ~hints =
          ~pc:(Cluster.pc_of_members_exn members)
          ~members);
     Store.undepart store node;
-    List.iter (send_local t pid) (Store.take_pending store node)
+    Cluster.unpark t.cl ~pid ~node
   in
   match Store.find store node with
   | None -> do_install ()
@@ -766,10 +600,9 @@ let handle_relay_member t pid ~node ~change ~version ~uid =
   | None ->
     if Hashtbl.mem store.Store.departed node then
       Stats.tick (ctr t).Cluster.relay_to_departed
-    else begin
-      Stats.tick (ctr t).Cluster.route_parked;
-      Store.add_pending store node (Msg.Relay_member { node; change; version; uid })
-    end
+    else
+      Cluster.park t.cl ~pid ~node
+        (Msg.Relay_member { node; change; version; uid })
   | Some copy ->
     let n = copy.Store.node in
     n.Node.version <- max n.Node.version version;
@@ -840,10 +673,7 @@ let handle t pid ~src:_ msg =
               (Msg.Unjoin_request { node = sibling.Msg.s_id; pid })
         end
       end
-      else begin
-        Stats.tick (ctr t).Cluster.route_parked;
-        Store.add_pending store node msg
-      end
+      else Cluster.park t.cl ~pid ~node msg
     | Some copy -> apply_remote_split t pid copy ~uid ~sep ~sibling ~sibling_members
   end
   (* dbflow: class lazy -- root adoption: copies may learn the new root in any order (§4.3) *)
@@ -851,17 +681,17 @@ let handle t pid ~src:_ msg =
     let store = Cluster.store t.cl pid in
     match Cluster.pc_of_members members with
     | Error Cluster.Empty_members ->
-      Cluster.park_no_members t.cl ~pid ~node:snap.Msg.s_id msg
+      Cluster.park ~no_members:true t.cl ~pid ~node:snap.Msg.s_id msg
     | Ok pc ->
       Store.learn store snap.Msg.s_id members;
       let n = Msg.node_of_snapshot snap in
       ignore (Store.install store ~node:n ~pc ~members);
       Store.set_root store snap.Msg.s_id;
-      List.iter (send_local t pid) (Store.take_pending store snap.Msg.s_id)
+      Cluster.unpark t.cl ~pid ~node:snap.Msg.s_id
   end
   (* dbflow: class semi -- migration install is coordinated by the sending owner (§5.2) *)
-  | Msg.Migrate_install { snap; ancestors; from_pid } ->
-    handle_migrate_install t pid ~snap ~ancestors ~from_pid
+  | Msg.Migrate_install { snap; ancestors; from_pid = _ } ->
+    handle_migrate_install t pid ~snap ~ancestors
   (* dbflow: class semi -- join is granted by the node's PC, which orders it against relays (§5.1) *)
   | Msg.Join_request { node; requester } -> handle_join_request t pid ~node ~requester
   (* dbflow: class semi -- the granted copy install carries the PC's version, ordering it against relays (§5.1) *)
@@ -879,80 +709,24 @@ let handle t pid ~src:_ msg =
 (* ------------------------------------------------------------------ *)
 (* Bootstrap and public API                                            *)
 
-let leaf_counts t =
-  Array.map
-    (fun store ->
-      let count = ref 0 in
-      Store.iter store (fun c -> if Node.is_leaf c.Store.node then incr count);
-      !count)
-    t.cl.Cluster.stores
+let leaf_counts t = Kernel_core.leaf_counts t.cl
 
-let balance_step t =
-  let counts = leaf_counts t in
-  let hi = ref 0 and lo = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if c > counts.(!hi) then hi := i;
-      if c < counts.(!lo) then lo := i)
-    counts;
-  if counts.(!hi) - counts.(!lo) >= 2 then begin
-    let store = Cluster.store t.cl !hi in
-    let victim = ref None in
-    Store.iter store (fun c ->
-        if Node.is_leaf c.Store.node then
-          match !victim with
-          | Some (size, _) when size >= Node.size c.Store.node -> ()
-          | Some _ | None ->
-            victim := Some (Node.size c.Store.node, c.Store.node.Node.id));
-    match !victim with
-    | Some (_, id) -> do_migrate t ~node:id ~to_pid:!lo
-    | None -> ()
-  end
-
+(* The initial tree: the root replicated everywhere with its PC at 0,
+   each leaf single-copy at its slice's processor. *)
 let bootstrap t =
   let cl = t.cl in
-  let nprocs = procs t in
-  let leaves =
-    List.init nprocs (fun p ->
-        let lo, hi = Partition.slice cl.Cluster.partition p in
-        let low = if p = 0 then Bound.Neg_inf else Bound.Key lo in
-        let high = if p = nprocs - 1 then Bound.Pos_inf else Bound.Key hi in
-        let id = Cluster.fresh_node_id cl in
-        (p, lo, Node.make ~id ~level:0 ~low ~high Entries.empty))
-  in
-  let rec link = function
-    | (_, _, a) :: ((_, _, b) :: _ as rest) ->
-      a.Node.right <- Some b.Node.id;
-      b.Node.left <- Some a.Node.id;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link leaves;
-  let root_id = Cluster.fresh_node_id cl in
-  let root_entries =
-    Entries.of_sorted_list
-      (List.map
-         (fun (p, lo, node) ->
-           ((if p = 0 then Bound.min_sentinel else lo), Node.Child node.Node.id))
-         leaves)
-  in
-  let members = List.init nprocs Fun.id in
-  for pid = 0 to nprocs - 1 do
+  let leaves, root = Kernel_core.initial_tree cl in
+  let members = List.init (procs t) Fun.id in
+  for pid = 0 to procs t - 1 do
     let store = Cluster.store cl pid in
-    Store.set_root store root_id;
-    let root =
-      Node.make ~id:root_id ~level:1 ~low:Bound.Neg_inf ~high:Bound.Pos_inf
-        root_entries
-    in
-    ignore (Store.install store ~node:root ~pc:0 ~members);
-    Cluster.hist_new_copy cl ~node:root_id ~pid ~base:[];
-    List.iter
-      (fun (p, _, node) -> Store.learn store node.Node.id [ p ])
-      leaves
+    Store.set_root store root.Node.id;
+    ignore (Store.install store ~node:(Node.clone root) ~pc:0 ~members);
+    Cluster.hist_new_copy cl ~node:root.Node.id ~pid ~base:[];
+    List.iter (fun (p, (node : Msg.value Node.t)) -> Store.learn store node.Node.id [ p ]) leaves
   done;
   List.iter
-    (fun (p, _, node) ->
-      node.Node.parent <- Some root_id;
+    (fun (p, (node : Msg.value Node.t)) ->
+      node.Node.parent <- Some root.Node.id;
       ignore (Store.install (Cluster.store cl p) ~node ~pc:p ~members:[ p ]);
       Cluster.hist_new_copy cl ~node:node.Node.id ~pid:p ~base:[])
     leaves
@@ -979,92 +753,14 @@ let create cfg =
   if cfg.Config.durability.Config.wal then
     Cluster.install_recovery cl ~rejoin:(fun pid -> Cluster.rejoin_copies cl pid);
   bootstrap t;
-  if cfg.Config.balance_period > 0 then begin
-    let rec tick () =
-      if Sim.pending cl.Cluster.sim > 0 then begin
-        balance_step t;
-        Sim.schedule cl.Cluster.sim ~delay:cfg.Config.balance_period tick
-      end
-    in
-    Sim.schedule cl.Cluster.sim ~delay:cfg.Config.balance_period tick
-  end;
+  Kernel_core.start_balancer cl do_migrate t;
   t
 
-let start_route t ~origin msg = send_local t origin msg
-
-let insert t ~origin key value =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Insert ~key
-      ~value:(Some value) ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  let uid = Cluster.fresh_uid t.cl in
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act =
-           Msg.Update { uid; u = Msg.Upsert { op = r.Opstate.id; origin; value } };
-       });
-  r.Opstate.id
-
-let search t ~origin key =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Search ~key ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Search { op = r.Opstate.id; origin };
-       });
-  r.Opstate.id
-
-let remove t ~origin key =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Delete ~key ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  let uid = Cluster.fresh_uid t.cl in
-  start_route t ~origin
-    (Msg.Route
-       {
-         key;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Update { uid; u = Msg.Remove { op = r.Opstate.id; origin } };
-       });
-  r.Opstate.id
-
-
-let scan t ~origin ~lo ~hi =
-  let r =
-    Opstate.register t.cl.Cluster.ops ~kind:Opstate.Scan ~key:lo ~value:None
-      ~origin ~now:(Cluster.now t.cl)
-  in
-  Cluster.op_issue t.cl r;
-  start_route t ~origin
-    (Msg.Route
-       {
-         key = lo;
-         level = 0;
-         node = (Cluster.store t.cl origin).Store.root;
-         act = Msg.Scan { op = r.Opstate.id; origin; hi; acc = [] };
-       });
-  r.Opstate.id
-
-let migrate t ~node ~to_pid =
-  if to_pid < 0 || to_pid >= procs t then
-    invalid_arg "Variable.migrate: bad pid";
-  Sim.schedule t.cl.Cluster.sim ~delay:0 (fun () -> do_migrate t ~node ~to_pid)
-
+let insert = Core.insert
+let search = Core.search
+let remove = Core.remove
+let scan = Core.scan
+let migrate t ~node ~to_pid = Kernel_core.schedule_migrate t.cl do_migrate t ~node ~to_pid
 let run ?max_events t = Cluster.run ?max_events t.cl
 
 let api t =

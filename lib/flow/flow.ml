@@ -27,6 +27,19 @@ let dedup xs =
 let node_emits_kind (n : Graph.node) kind =
   List.exists (fun (k, _) -> k = kind) n.Graph.emits
 
+(* The unit holding the B-link machine the kernels share.  Kernel code
+   that moved there still belongs to each kernel that calls it. *)
+let core_unit = "Kernel_core"
+
+(* A kernel's own nodes plus the shared-core nodes reachable from them
+   through the call graph. *)
+let kernel_scope (g : Graph.t) (k : Graph.kernel) =
+  let own = Graph.unit_nodes g k.k_unit in
+  own
+  @ List.filter
+      (fun (n : Graph.node) -> n.unit_name = core_unit)
+      (Graph.closure g (List.concat_map (fun (n : Graph.node) -> n.calls) own))
+
 (* ------------------------------------------------------------------ *)
 (* send-handle: every kind a kernel sends must have a real handler arm
    in that kernel, and every real arm must correspond to a kind the
@@ -49,7 +62,7 @@ let check_send_handle _prog (g : Graph.t) =
       let handled = dedup (arm_ctors (fun r -> not r)) in
       let constructed =
         List.concat_map (fun (n : Graph.node) -> n.constructs)
-          (Graph.unit_nodes g k.k_unit)
+          (kernel_scope g k)
         |> List.filter (fun (c, _) -> List.mem c universe)
       in
       let constructed_names = dedup (List.map fst constructed) in
@@ -197,7 +210,7 @@ let check_ordering_class (prog : Program.t) (g : Graph.t) =
                                           ctor n.id))
                                 else None)
                               n.constructs)
-                          (Graph.unit_nodes g k.k_unit))
+                          (kernel_scope g k))
                       a.arm_constructors
                   else if ann.a_class = "lazy" then
                     let reach =
@@ -205,7 +218,8 @@ let check_ordering_class (prog : Program.t) (g : Graph.t) =
                     in
                     List.concat_map
                       (fun (n : Graph.node) ->
-                        if n.unit_name <> k.k_unit then []
+                        if n.unit_name <> k.k_unit && n.unit_name <> core_unit
+                        then []
                         else
                           match n.pc_gates with
                           | [] -> []

@@ -167,6 +167,13 @@ let collect_bindings structure =
     (match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
     | Some name, Pmod_ident { txt; _ } ->
       aliases := (name, last_comp txt) :: !aliases
+    | ( Some name,
+        Pmod_apply ({ pmod_desc = Pmod_ident { txt = Ldot (unit, _); _ }; _ }, _)
+      ) ->
+      (* [module Core = Kernel_core.Make (...)]: the functor body's
+         bindings are collected flat under their unit, so calls through
+         the instance resolve there. *)
+      aliases := (name, last_comp unit) :: !aliases
     | _ -> ());
     module_expr mb.pmb_expr
   and module_expr (me : Parsetree.module_expr) =

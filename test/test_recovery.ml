@@ -148,7 +148,7 @@ let test_park_no_members () =
         act = Msg.Update { uid = -1; u = Msg.Remove { op = 0; origin = 0 } };
       }
   in
-  Cluster.park_no_members cl ~pid:0 ~node:999 msg;
+  Cluster.park ~no_members:true cl ~pid:0 ~node:999 msg;
   Alcotest.(check int) "counted" 1
     (Stats.get (Cluster.stats cl) "route.no_members");
   Alcotest.(check (list bool)) "parked for the node" [ true ]
