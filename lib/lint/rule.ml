@@ -20,7 +20,8 @@ type t = {
   check : ctx -> Parsetree.structure -> violation list;
 }
 
-let protocol_basenames = [ "fixed.ml"; "variable.ml"; "mobile.ml"; "cluster.ml" ]
+let protocol_basenames =
+  [ "fixed.ml"; "variable.ml"; "mobile.ml"; "kernel_core.ml"; "cluster.ml" ]
 
 let path_components file =
   String.split_on_char '/' file

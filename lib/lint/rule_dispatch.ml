@@ -91,6 +91,6 @@ let rule =
     Rule.name = "exhaustive-dispatch";
     doc =
       "no wildcard arms in Msg matches inside the protocol kernels \
-       (fixed/variable/mobile/cluster)";
+       (fixed/variable/mobile/kernel_core/cluster)";
     check;
   }

@@ -67,6 +67,39 @@ let test_send_handle_clean () =
        \  | Msg.Ping -> ignore t\n\
        \  | Msg.Quiet -> ignore t\n")
 
+(* The shared kernel core: a second unit, [Kernel_core], whose functor
+   instance the kernel calls, as the real kernels do. *)
+let with_core ~core src =
+  Program.of_sources
+    [ ("lib/fix/kernel_core.ml", core); ("lib/fix/kern.ml", src) ]
+
+let test_send_handle_core_construction () =
+  (* Kern's only Op_done construction sits in a shared-core helper it
+     reaches through [Core]: the Op_done arm is live. *)
+  check_clean "send-handle"
+    (with_core
+       ~core:
+         "module Make (K : sig val name : string end) = struct\n\
+         \  let read send = send (Msg.Op_done K.name)\n\
+          end\n"
+       "module Core = Kernel_core.Make (struct let name = \"kern\" end)\n\
+        let ping send = send Msg.Ping\n\
+        let perform send = Core.read send\n\
+        let handle t msg =\n\
+       \  match msg with\n\
+       \  | Msg.Ping -> ignore t\n\
+       \  | Msg.Op_done _ -> ignore t\n")
+
+let test_send_handle_core_unreached () =
+  (* A core construction the kernel never calls is not the kernel's. *)
+  check_fires "send-handle" ~sub:"Op_done"
+    (with_core ~core:"let reply send = send (Msg.Op_done 0)\n"
+       "let ping send = send Msg.Ping\n\
+        let handle t msg =\n\
+       \  match msg with\n\
+       \  | Msg.Ping -> ignore t\n\
+       \  | Msg.Op_done _ -> ignore t\n")
+
 (* ---------------------------------------------------------------- *)
 (* aas-discipline *)
 
@@ -173,6 +206,23 @@ let test_class_lazy_clean () =
           \  match msg with\n\
           \  %s\n\
           \  | Msg.Ping -> apply t\n"
+          (cls "lazy")))
+
+let test_class_lazy_reaches_core_pc () =
+  (* The pc gate moved into the shared core; the lazy arm still reaches
+     it through the functor instance. *)
+  check_fires "ordering-class" ~sub:"primary-copy"
+    (with_core
+       ~core:
+         "module Make (K : sig val name : string end) = struct\n\
+         \  let gate c = c.pc = 0\n\
+          end\n"
+       (Fmt.str
+          "module Core = Kernel_core.Make (struct let name = \"kern\" end)\n\
+           let handle t msg =\n\
+          \  match msg with\n\
+          \  %s\n\
+          \  | Msg.Ping -> ignore (Core.gate t)\n"
           (cls "lazy")))
 
 let test_class_orphaned () =
@@ -373,6 +423,10 @@ let suite =
     Alcotest.test_case "send-handle: dead arm fires" `Quick
       test_send_handle_dead_arm;
     Alcotest.test_case "send-handle: clean" `Quick test_send_handle_clean;
+    Alcotest.test_case "send-handle: core construction counts" `Quick
+      test_send_handle_core_construction;
+    Alcotest.test_case "send-handle: unreached core construction" `Quick
+      test_send_handle_core_unreached;
     Alcotest.test_case "aas: reply reachable fires" `Quick
       test_aas_reply_reachable;
     Alcotest.test_case "aas: search reply exempt" `Quick
@@ -387,6 +441,8 @@ let suite =
     Alcotest.test_case "class: lazy pc-gate fires" `Quick
       test_class_lazy_reaches_pc;
     Alcotest.test_case "class: lazy clean" `Quick test_class_lazy_clean;
+    Alcotest.test_case "class: lazy core pc-gate fires" `Quick
+      test_class_lazy_reaches_core_pc;
     Alcotest.test_case "class: orphaned fires" `Quick test_class_orphaned;
     Alcotest.test_case "counter: unused fires" `Quick test_counter_unused;
     Alcotest.test_case "counter: duplicate fires" `Quick

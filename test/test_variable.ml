@@ -34,6 +34,49 @@ let test_balanced_load () =
   in
   Alcotest.(check bool) "migrations happened" true (Variable.migrations t > 0)
 
+(* Trace completeness: every message a Variable processor parks (a relay,
+   membership change or split for a copy it has not installed yet) is
+   closed by an Unpark for the same node on the same processor once the
+   copy arrives.  Unpark's [b] is the number of messages it released. *)
+let test_parks_unparked () =
+  (* Frame loss over the reliable transport delays some channels behind
+     others, so relays can overtake the copy they update. *)
+  let cfg =
+    Config.make ~procs:8 ~capacity:4 ~seed:15 ~key_space:50_000
+      ~balance_period:100 ~transport:Net.Reliable
+      ~faults:{ Net.no_faults with drop_prob = 0.02; duplicate_prob = 0.01 }
+      ~trace:true ~trace_capacity:1_000_000 ()
+  in
+  let t, _, _ = run_variable ~count:400 cfg "variable traced" in
+  let cl = Variable.cluster t in
+  let events = Dbtree_obs.Obs.events cl.Cluster.obs in
+  Alcotest.(check int) "trace retained every event"
+    (Dbtree_obs.Obs.length cl.Cluster.obs) (List.length events);
+  let balance = Hashtbl.create 16 in
+  let bump key d =
+    Hashtbl.replace balance key
+      (d + Option.value (Hashtbl.find_opt balance key) ~default:0)
+  in
+  let parks = ref 0 and relays = ref 0 in
+  List.iter
+    (fun (e : Dbtree_obs.Obs.event) ->
+      match e.kind with
+      | Dbtree_obs.Event.Park ->
+        incr parks;
+        if Msg.kind_name e.b = "relay_update" then incr relays;
+        bump (e.pid, e.a) 1
+      | Dbtree_obs.Event.Unpark -> bump (e.pid, e.a) (-e.b)
+      | _ -> ())
+    events;
+  Alcotest.(check bool) "the run parks a relay" true (!relays > 0);
+  Alcotest.(check int) "parks counted" !parks
+    (Stats.get (Cluster.stats cl) "route.parked");
+  Alcotest.(check (list (pair int int)))
+    "every park closed by an unpark on the same processor and node" []
+    (List.filter_map
+       (fun (key, n) -> if n <> 0 then Some key else None)
+       (Stats.sorted_bindings balance))
+
 let leaf_ids t pid =
   let store = Cluster.store (Variable.cluster t) pid in
   let acc = ref [] in
@@ -184,6 +227,7 @@ let suite =
     Alcotest.test_case "basic load" `Quick test_basic_load;
     Alcotest.test_case "seed sweep" `Slow test_seeds;
     Alcotest.test_case "balanced load" `Quick test_balanced_load;
+    Alcotest.test_case "every park unparked (traced)" `Quick test_parks_unparked;
     Alcotest.test_case "drain forces unjoin + join" `Quick test_join_on_migration;
     Alcotest.test_case "joins racing inserts (Fig 6)" `Quick
       test_join_concurrent_with_inserts;
