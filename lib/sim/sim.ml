@@ -49,14 +49,14 @@ let register_handler t f =
   t.n_handlers <- id + 1;
   id
 
-(* Packed-clock guard.  Time still has the [Evq] budget of 2^31 ticks; the
+(* Packed-clock guard.  Time has the [Wheel] budget of 2^31 ticks; the
    per-event [seq] of the old global heap is gone — only events scheduled
    beyond the wheel window consume a (time, seq)-packed overflow slot, so
    [seq] stays near zero even over million-op runs (see the regression
    test).  [max_time - 1] (not [max_time]) so a packed overflow key can
    never reach [max_int], the empty sentinel. *)
 let[@inline] check_clock t time =
-  if time >= Evq.max_time - 1 || Wheel.overflow_seq t.pending >= Evq.max_seq
+  if time >= Wheel.max_time - 1 || Wheel.overflow_seq t.pending >= Wheel.max_seq
   then
     (* dbperf: alloc-ok -- clock-exhaustion raise: builds its message once, at the end of the world *)
     Fmt.invalid_arg "Sim.schedule: packed clock exhausted (time=%d seq=%d)"
@@ -130,7 +130,7 @@ let run ?max_events ?max_time t =
      which also terminates the loop). *)
   let budget = match max_events with Some m -> m | None -> max_int in
   match max_time with
-  | Some horizon when horizon < Evq.max_time ->
+  | Some horizon when horizon < Wheel.max_time ->
     let rec loop () =
       if t.processed >= budget then raise Budget_exhausted;
       if Wheel.next_time t.pending <= horizon then begin
@@ -142,7 +142,7 @@ let run ?max_events ?max_time t =
     loop ()
   | Some _ | None ->
     (* No reachable horizon ([check_clock] keeps every scheduled time
-       below [Evq.max_time]): pop directly instead of probing
+       below [Wheel.max_time]): pop directly instead of probing
        [next_time] first — one queue touch per event, not two. *)
     let rec loop () =
       if t.processed >= budget then raise Budget_exhausted;

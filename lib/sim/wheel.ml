@@ -16,7 +16,7 @@
      nonempty, pop when it drains), not once per event, so under load its
      cost amortizes across every event sharing a tick.
    - the overflow heap: events scheduled [window] or more ticks out,
-     keyed by the same packed (time, seq) ints as [Evq].  Whenever [pos]
+     keyed by packed (time, seq) ints (see [pack]).  Whenever [pos]
      advances, everything with time < pos + window transfers into the
      ring.
 
@@ -31,6 +31,15 @@
 let window_bits = 11
 let window = 1 lsl window_bits
 let mask = window - 1
+
+(* Packed overflow keys: key = (time lsl 31) lor seq, both components
+   < 2^31, so integer comparison of keys is lexicographic comparison of
+   (time, seq) and the whole key fits a 63-bit native int. *)
+let seq_bits = 31
+let max_time = 1 lsl seq_bits
+let max_seq = 1 lsl seq_bits
+let pack ~time ~seq = (time lsl seq_bits) lor seq
+let time_of_key key = key lsr seq_bits
 
 (* Typed events carry three ints and one boxed payload; [h] is the
    dispatcher's handler id.  [h = -1] marks a closure event: [o] is the
@@ -259,11 +268,11 @@ let over_push t ~key entry =
   Array.unsafe_set keys !i key;
   Array.unsafe_set ents !i entry
 
-let over_min_time t = Evq.time_of_key (Array.unsafe_get t.okeys 0)
+let over_min_time t = time_of_key (Array.unsafe_get t.okeys 0)
 
 let over_pop t =
   let keys = t.okeys and ents = t.oents in
-  let time = Evq.time_of_key (Array.unsafe_get keys 0) in
+  let time = time_of_key (Array.unsafe_get keys 0) in
   let e = Array.unsafe_get ents 0 in
   let n = t.osize - 1 in
   t.osize <- n;
@@ -317,7 +326,7 @@ let transfer t =
 let[@inline] schedule_typed t ~time ~h ~a ~b ~c ~o =
   if time - t.pos < window then bucket_append t ~time ~h ~a ~b ~c ~o
   else begin
-    let key = Evq.pack ~time ~seq:t.oseq in
+    let key = pack ~time ~seq:t.oseq in
     t.oseq <- t.oseq + 1;
     (* dbperf: alloc-ok -- one boxed entry per far event; overflow is rare by design (see the type comment) *)
     over_push t ~key { eh = h; ea = a; eb = b; ec = c; eo = o }

@@ -30,6 +30,23 @@ val window : int
 (** Ring span in ticks (a power of two).  Delays below this are O(1)
     bucket appends; longer delays take the overflow heap. *)
 
+(** {2 Packed overflow keys} *)
+
+val max_time : int
+(** Exclusive upper bound on packable times (2{^31}). *)
+
+val max_seq : int
+(** Exclusive upper bound on packable sequence numbers (2{^31}). *)
+
+val pack : time:int -> seq:int -> int
+(** [pack ~time ~seq] is the overflow heap's key: integer order on keys
+    is lexicographic order on [(time, seq)].  Requires
+    [0 <= time < max_time] and [0 <= seq < max_seq] (unchecked here;
+    {!Sim} checks once per schedule). *)
+
+val time_of_key : int -> int
+(** The [time] component of a packed key. *)
+
 val create : unit -> t
 val make_cell : unit -> cell
 
@@ -39,7 +56,7 @@ val is_empty : t -> bool
 val overflow_seq : t -> int
 (** Overflow insertions so far — consumption of the packed (time, seq)
     clock.  Stays near zero in practice; {!Sim} guards it against the
-    [Evq.max_seq] budget. *)
+    {!max_seq} budget. *)
 
 val overflow_depth : t -> int
 (** Events currently parked in the overflow heap (scheduled beyond the
@@ -47,7 +64,7 @@ val overflow_depth : t -> int
 
 val schedule : t -> time:int -> (unit -> unit) -> unit
 (** Closure event at absolute [time].  [time] must be >= the last popped
-    time and < [Evq.max_time - 1]; {!Sim} enforces both. *)
+    time and < [max_time - 1]; {!Sim} enforces both. *)
 
 val schedule_typed :
   t -> time:int -> h:int -> a:int -> b:int -> c:int -> o:Obj.t -> unit

@@ -221,9 +221,7 @@ let prop_store_matches_reference =
       let walked = ref [] in
       Store.iter s (fun c -> walked := c.Store.node.Node.id :: !walked);
       let walked = List.rev !walked in
-      let want =
-        List.sort compare (Hashtbl.fold (fun k () a -> k :: a) r.r_copies [])
-      in
+      let want = List.map fst (Stats.sorted_bindings r.r_copies) in
       if walked <> want then QCheck.Test.fail_reportf "iter order diverged";
       true)
 
@@ -258,7 +256,7 @@ let test_million_events_within_budget () =
   Alcotest.(check bool) "overflow seq stays tiny"
     true (consumed <= 32);
   Alcotest.(check bool) "far from the 2^31 budget" true
-    (consumed < Evq.max_seq / 1024 && Sim.now sim < Evq.max_time / 16)
+    (consumed < Wheel.max_seq / 1024 && Sim.now sim < Wheel.max_time / 16)
 
 let suite =
   [

@@ -38,57 +38,22 @@ let test_rng_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is permutation" (Array.init 50 Fun.id) sorted
 
-(* The monomorphic event queue must dequeue in (time, seq) order — checked
-   against the obvious reference model (sort the pairs). *)
-let prop_evq_order =
-  QCheck.Test.make ~name:"event queue pops in (time, seq) order" ~count:200
-    QCheck.(list small_nat)
-    (fun times ->
-      let q = Evq.create () in
-      let out = ref [] in
-      List.iteri
-        (fun seq time ->
-          Evq.add q ~key:(Evq.pack ~time ~seq) (fun () ->
-              out := (time, seq) :: !out))
-        times;
-      let rec drain () =
-        if not (Evq.is_empty q) then begin
-          (Evq.pop_min q) ();
-          drain ()
-        end
-      in
-      drain ();
-      List.rev !out = List.sort compare (List.mapi (fun i t -> (t, i)) times))
-
-(* Same, with pops interleaved among the adds: after every operation the
-   queue must agree with a sorted-list model. *)
-let prop_evq_interleaved =
-  QCheck.Test.make ~name:"event queue matches model under interleaving"
-    ~count:200
-    QCheck.(list (option small_nat))
-    (fun ops ->
-      let q = Evq.create () in
-      let model = ref [] in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          (match op with
-          | Some time ->
-            let key = Evq.pack ~time ~seq:!seq in
-            incr seq;
-            Evq.add q ~key (fun () -> ());
-            model := List.sort compare (key :: !model)
-          | None -> (
-            match !model with
-            | [] -> if not (Evq.is_empty q) then ok := false
-            | m :: rest ->
-              if Evq.min_key q <> m then ok := false;
-              let (_ : unit -> unit) = Evq.pop_min q in
-              model := rest));
-          if Evq.length q <> List.length !model then ok := false)
-        ops;
-      !ok)
+(* Overflow keys: integer order on packed keys is lexicographic order
+   on (time, seq) across the whole packable range, and the time
+   component round-trips. *)
+let prop_pack_order =
+  let time = QCheck.int_bound (Wheel.max_time - 1)
+  and seq = QCheck.int_bound (Wheel.max_seq - 1) in
+  QCheck.Test.make ~name:"packed keys order like (time, seq)" ~count:1000
+    QCheck.(pair (pair time seq) (triple bool time seq))
+    (fun ((t1, s1), (same_time, t2, s2)) ->
+      (* half the pairs share a time, so the seq tie-break is exercised *)
+      let t2 = if same_time then t1 else t2 in
+      let k1 = Wheel.pack ~time:t1 ~seq:s1 and k2 = Wheel.pack ~time:t2 ~seq:s2 in
+      k1 >= 0
+      && Wheel.time_of_key k1 = t1
+      && k1 < k2 = (t1 < t2 || (t1 = t2 && s1 < s2))
+      && k1 = k2 = (t1 = t2 && s1 = s2))
 
 (* The wheel must reproduce the single-heap (time, insertion) order
    exactly — including across the window/overflow boundary and for
@@ -475,8 +440,8 @@ let test_schedule_exhaustion_guard () =
   Alcotest.check_raises "beyond max_time"
     (Invalid_argument
        (Printf.sprintf "Sim.schedule: packed clock exhausted (time=%d seq=%d)"
-          Evq.max_time 0))
-    (fun () -> Sim.schedule sim ~delay:Evq.max_time (fun () -> ()));
+          Wheel.max_time 0))
+    (fun () -> Sim.schedule sim ~delay:Wheel.max_time (fun () -> ()));
   (* The failed call must not have consumed a seq slot or enqueued junk:
      ordinary scheduling still works and runs in order. *)
   let out = ref [] in
@@ -532,8 +497,7 @@ let suite =
     Alcotest.test_case "rng: split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng: bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng: permutation" `Quick test_rng_permutation;
-    QCheck_alcotest.to_alcotest prop_evq_order;
-    QCheck_alcotest.to_alcotest prop_evq_interleaved;
+    QCheck_alcotest.to_alcotest prop_pack_order;
     QCheck_alcotest.to_alcotest prop_wheel_order;
     Alcotest.test_case "wheel: exact window boundary" `Quick
       test_wheel_window_boundary;
