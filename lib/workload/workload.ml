@@ -91,40 +91,6 @@ let searches rng ~keys ~count =
       Some (Search (Rng.pick rng keys))
     end
 
-let mixed rng ~loaded ~fresh ~search_ratio ~count =
-  let next_fresh = ref 0 in
-  let left = ref count in
-  let searchable () =
-    (* loaded keys plus the fresh keys already issued *)
-    if !next_fresh = 0 then loaded
-    else Array.append loaded (Array.sub fresh 0 !next_fresh)
-  in
-  fun () ->
-    if !left <= 0 then None
-    else begin
-      decr left;
-      let want_search =
-        Rng.float rng 1.0 < search_ratio || !next_fresh >= Array.length fresh
-      in
-      if want_search then begin
-        let pool = searchable () in
-        if Array.length pool = 0 then
-          (* nothing loaded yet: fall back to an insert *)
-          if !next_fresh < Array.length fresh then begin
-            let k = fresh.(!next_fresh) in
-            incr next_fresh;
-            Some (Insert (k, value_for k))
-          end
-          else None
-        else Some (Search (Rng.pick rng pool))
-      end
-      else begin
-        let k = fresh.(!next_fresh) in
-        incr next_fresh;
-        Some (Insert (k, value_for k))
-      end
-    end
-
 let skewed_searches rng ~keys ~theta ~count =
   if Array.length keys = 0 then
     invalid_arg "Workload.skewed_searches: no keys";
@@ -136,8 +102,6 @@ let skewed_searches rng ~keys ~theta ~count =
       decr left;
       Some (Search keys.(sample ()))
     end
-
-let per_proc make ~procs = Array.init procs make
 
 let chunk arr ~parts =
   if parts <= 0 then invalid_arg "Workload.chunk: parts must be positive";

@@ -3,8 +3,8 @@
     A workload is a per-processor stream of operations.  Key distributions
     cover the cases the experiments need: unique random keys (bulk loads
     that never overwrite), sequential runs (worst-case split locality),
-    Zipf-skewed access (hot spots, for data balancing), and mixed
-    read/write traffic over a loaded key set.
+    uniform lookups over a loaded key set, and Zipf-skewed access (hot
+    spots, for data balancing).
 
     All randomness comes from an explicit {!Dbtree_sim.Rng.t}. *)
 
@@ -44,24 +44,10 @@ val inserts : keys:int array -> stream
 val searches : Rng.t -> keys:int array -> count:int -> stream
 (** [count] uniform point lookups over [keys]. *)
 
-val mixed :
-  Rng.t ->
-  loaded:int array ->
-  fresh:int array ->
-  search_ratio:float ->
-  count:int ->
-  stream
-(** [count] operations: with probability [search_ratio] a search over
-    [loaded] (and previously inserted [fresh] keys), otherwise the next
-    insert from [fresh] (falling back to searches when [fresh] runs out). *)
-
 val skewed_searches :
   Rng.t -> keys:int array -> theta:float -> count:int -> stream
 (** Zipf-skewed lookups: rank 0 = [keys.(0)] is hottest.  Drives the
     data-balancing experiments. *)
-
-val per_proc : (int -> stream) -> procs:int -> stream array
-(** [per_proc make ~procs] builds one stream per processor with [make pid]. *)
 
 val chunk : 'a array -> parts:int -> 'a array array
 (** Split an array into [parts] nearly equal consecutive chunks (some may

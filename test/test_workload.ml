@@ -52,18 +52,6 @@ let test_streams () =
       | _ -> Alcotest.fail "expected search")
     searches
 
-let test_mixed_stream () =
-  let rng = Rng.create 4 in
-  let loaded = [| 1; 2; 3 |] and fresh = [| 10; 11 |] in
-  let ops =
-    Workload.take (Workload.mixed rng ~loaded ~fresh ~search_ratio:0.5 ~count:50) 100
-  in
-  Alcotest.(check int) "count respected" 50 (List.length ops);
-  let inserts =
-    List.filter (function Workload.Insert _ -> true | _ -> false) ops
-  in
-  Alcotest.(check int) "both fresh keys inserted once" 2 (List.length inserts)
-
 let test_chunk () =
   let parts = Workload.chunk [| 1; 2; 3; 4; 5 |] ~parts:3 in
   Alcotest.(check int) "parts" 3 (Array.length parts);
@@ -120,7 +108,6 @@ let suite =
     Alcotest.test_case "unique keys" `Quick test_unique_keys;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "streams" `Quick test_streams;
-    Alcotest.test_case "mixed stream" `Quick test_mixed_stream;
     Alcotest.test_case "chunk" `Quick test_chunk;
     Alcotest.test_case "partition" `Quick test_partition;
     QCheck_alcotest.to_alcotest prop_members_contiguous;
