@@ -443,59 +443,4 @@ let all_rules =
   ]
 
 let rule_names = List.map (fun r -> r.name) all_rules
-let find_rule name = List.find_opt (fun r -> r.name = name) all_rules
-
-type report = {
-  violations : Rule.violation list;
-  suppressed : int;
-  files : int;
-}
-
-let sort_violations vs =
-  List.sort
-    (fun (a : Rule.violation) b ->
-      compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule))
-    vs
-
-let analyze ?(rules = all_rules) (prog : Program.t) =
-  let g = Graph.build prog in
-  let raw = dedup (List.concat_map (fun r -> r.check prog g) rules) in
-  let supps =
-    List.map
-      (fun (u : Program.unit_info) ->
-        (u.file, Suppress.scan ~tool:"dbflow" ~known:rule_names u.source))
-      prog.units
-  in
-  let suppressed, kept =
-    List.partition
-      (fun (viol : Rule.violation) ->
-        match List.assoc_opt viol.file supps with
-        | Some s -> Suppress.active s ~rule:viol.rule ~line:viol.line
-        | None -> false)
-      raw
-  in
-  let unknown =
-    List.concat_map
-      (fun (file, s) ->
-        List.map
-          (fun (line, tok) ->
-            {
-              Rule.rule = "unknown-rule";
-              file;
-              line;
-              col = 0;
-              message =
-                Fmt.str
-                  "dbflow allow comment names unknown rule %S (known: %s): \
-                   fix the name or the comment suppresses nothing"
-                  tok
-                  (String.concat ", " rule_names);
-            })
-          (Suppress.unknown_rules s))
-      supps
-  in
-  {
-    violations = sort_violations (unknown @ kept);
-    suppressed = List.length suppressed;
-    files = List.length prog.units;
-  }
+let check rules prog g = List.concat_map (fun r -> r.check prog g) rules

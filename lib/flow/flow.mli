@@ -20,16 +20,8 @@ val all_rules : rule list
     [ordering-class], [counter-lifecycle], [span-pairing]. *)
 
 val rule_names : string list
-val find_rule : string -> rule option
 
-type report = {
-  violations : Dbtree_lint.Rule.violation list;
-      (** unsuppressed, sorted by (file, line, col, rule); includes
-          [unknown-rule] pseudo-violations for typoed allow comments *)
-  suppressed : int;
-  files : int;
-}
-
-val analyze : ?rules:rule list -> Program.t -> report
-(** Build the graph once and run the rules, then filter through
-    [(* dbflow: allow ... *)] suppressions per file. *)
+val check :
+  rule list -> Program.t -> Graph.t -> Dbtree_lint.Rule.violation list
+(** Run the rules over the program's graph; unsuppressed and unsorted
+    ({!Check} applies the [dbflow] allow comments). *)

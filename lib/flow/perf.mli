@@ -33,7 +33,8 @@ type ctx = {
   annots : (string * annot list) list;  (** per-file annotation scan *)
 }
 
-val make_ctx : Program.t -> ctx
+val make_ctx : ?graph:Graph.t -> Program.t -> ctx
+(** Builds the graph unless [graph] is given. *)
 
 val alloc_sites : ctx -> Graph.node -> (string * Location.t) list
 (** A node's allocation sites: recorded allocation-shaped expressions
@@ -47,20 +48,11 @@ type rule = {
 
 val all_rules : rule list
 val rule_names : string list
-val find_rule : string -> rule option
 
-type report = {
-  violations : Dbtree_lint.Rule.violation list;
-      (** sorted by file/line/col/rule *)
-  suppressed : int;
-  files : int;
-}
-
-val analyze : ?rules:rule list -> Program.t -> report
-(** Build the graph, compute the hot set, run the rules, apply
-    [dbperf: allow] suppressions (same grammar as dblint's, under the
-    [dbperf] marker), and surface typoed allow comments as
-    [unknown-rule] violations. *)
+val check :
+  rule list -> Program.t -> Graph.t -> Dbtree_lint.Rule.violation list
+(** Compute the hot set and run the rules; unsuppressed and unsorted
+    ({!Check} applies the [dbperf] allow comments). *)
 
 val pp_hot : Format.formatter -> Program.t -> unit
 (** The [--hot] audit view: one line per hot-set member with its

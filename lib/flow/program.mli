@@ -1,7 +1,8 @@
-(** The whole-program view dbflow analyses: every [.ml] unit under the
-    requested paths, parsed once.  A unit's module name is its
-    capitalised basename, which is how cross-module references resolve
-    in the dune-built libraries (aliases are handled in {!Graph}). *)
+(** The program [dbcheck] analyses: every [.ml] unit under the
+    requested paths, parsed once and shared by all four rule families.
+    A unit's module name is its capitalised basename, which is how
+    cross-module references resolve in the dune-built libraries
+    (aliases are handled in {!Graph}). *)
 
 type unit_info = {
   name : string;  (** module name, e.g. ["Fixed"] for [lib/dbtree/fixed.ml] *)
@@ -13,7 +14,7 @@ type unit_info = {
 type t = { units : unit_info list }
 
 val load : string list -> t * (string * string) list
-(** Parse every [.ml] under the paths (same discovery as dblint).
+(** Parse every [.ml] under the paths (see {!Dbtree_lint.Lint.collect_files}).
     Unparseable files are skipped and returned as [(file, error)]. *)
 
 val of_sources : (string * string) list -> t

@@ -466,73 +466,19 @@ let all_rules =
   ]
 
 let rule_names = List.map (fun r -> r.name) all_rules
-let find_rule name = List.find_opt (fun r -> r.name = name) all_rules
 
-type report = {
-  violations : Rule.violation list;
-  suppressed : int;
-  files : int;
-}
+let make_ctx (prog : Program.t) graph =
+  { prog; graph; globals = inventory prog graph; reachable = par_nodes graph }
 
-let sort_violations vs =
-  List.sort
-    (fun (a : Rule.violation) b ->
-      compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule))
-    vs
-
-let make_ctx (prog : Program.t) =
-  let graph = Graph.build prog in
-  let globals = inventory prog graph in
-  { prog; graph; globals; reachable = par_nodes graph }
-
-let analyze ?(rules = all_rules) (prog : Program.t) =
-  let ctx = make_ctx prog in
-  let raw = dedup (List.concat_map (fun r -> r.check ctx) rules) in
-  let supps =
-    List.map
-      (fun (u : Program.unit_info) ->
-        (u.file, Suppress.scan ~tool:"dbrace" ~known:rule_names u.source))
-      prog.Program.units
-  in
-  let suppressed, kept =
-    List.partition
-      (fun (viol : Rule.violation) ->
-        match List.assoc_opt viol.file supps with
-        | Some s -> Suppress.active s ~rule:viol.rule ~line:viol.line
-        | None -> false)
-      raw
-  in
-  let unknown =
-    List.concat_map
-      (fun (file, s) ->
-        List.map
-          (fun (line, tok) ->
-            {
-              Rule.rule = "unknown-rule";
-              file;
-              line;
-              col = 0;
-              message =
-                Fmt.str
-                  "dbrace allow comment names unknown rule %S (known: %s): \
-                   fix the name or the comment suppresses nothing"
-                  tok
-                  (String.concat ", " rule_names);
-            })
-          (Suppress.unknown_rules s))
-      supps
-  in
-  {
-    violations = sort_violations (unknown @ kept);
-    suppressed = List.length suppressed;
-    files = List.length prog.Program.units;
-  }
+let check rules prog graph =
+  let ctx = make_ctx prog graph in
+  List.concat_map (fun r -> r.check ctx) rules
 
 (* ------------------------------------------------------------------ *)
 (* Inventory rendering (the [--inventory] audit view)                  *)
 
 let pp_inventory ppf (prog : Program.t) =
-  let ctx = make_ctx prog in
+  let ctx = make_ctx prog (Graph.build prog) in
   let reachable_ids =
     List.concat_map
       (fun (n : Graph.node) ->

@@ -48,18 +48,12 @@ type rule = { name : string; doc : string; check : ctx -> Dbtree_lint.Rule.viola
 
 val all_rules : rule list
 val rule_names : string list
-val find_rule : string -> rule option
 
-type report = {
-  violations : Dbtree_lint.Rule.violation list;  (** sorted by file/line/col/rule *)
-  suppressed : int;
-  files : int;
-}
-
-val analyze : ?rules:rule list -> Program.t -> report
-(** Build the graph, run the rules, apply [dbrace: allow] suppressions
-    (same grammar as dblint's, under the [dbrace] marker), and surface
-    typoed allow comments as [unknown-rule] violations. *)
+val check :
+  rule list -> Program.t -> Graph.t -> Dbtree_lint.Rule.violation list
+(** Inventory the globals, compute the par-reachable closure and run the
+    rules; unsuppressed and unsorted ({!Check} applies the [dbrace]
+    allow comments). *)
 
 val pp_inventory : Format.formatter -> Program.t -> unit
 (** The [--inventory] audit view: one line per toplevel mutable global,

@@ -5,62 +5,10 @@ let all_rules =
   ]
 
 let rule_names = List.map (fun r -> r.Rule.name) all_rules
-let find_rule name = List.find_opt (fun r -> r.Rule.name = name) all_rules
 
-type file_result = {
-  violations : Rule.violation list;  (** unsuppressed, in source order *)
-  suppressed : int;
-}
-
-let read_file = Srcfile.read_file
-let parse = Srcfile.parse
-
-let sort_violations vs =
-  List.sort
-    (fun (a : Rule.violation) b ->
-      compare (a.line, a.col, a.rule) (b.line, b.col, b.rule))
-    vs
-
-(* A typoed rule name in an allow comment must not pass silently: the
-   author believes something is suppressed that is not.  Reported as a
-   violation of the pseudo-rule [unknown-rule] so it fails the gate. *)
-let unknown_rule_violations ~file suppressions =
-  List.map
-    (fun (line, tok) ->
-      {
-        Rule.rule = "unknown-rule";
-        file;
-        line;
-        col = 0;
-        message =
-          Fmt.str
-            "allow comment names unknown rule %S (known: %s): fix the name \
-             or the comment suppresses nothing"
-            tok
-            (String.concat ", " rule_names);
-      })
-    (Suppress.unknown_rules suppressions)
-
-let lint_source ?(rules = all_rules) ~file source =
+let check rules ~file ~source structure =
   let ctx = Rule.make_ctx ~file ~source in
-  let structure = parse ~file source in
-  let suppressions = Suppress.scan ~known:rule_names source in
-  let all =
-    List.concat_map (fun r -> r.Rule.check ctx structure) rules
-    |> sort_violations
-  in
-  let suppressed, violations =
-    List.partition
-      (fun (v : Rule.violation) ->
-        Suppress.active suppressions ~rule:v.rule ~line:v.line)
-      all
-  in
-  let violations =
-    sort_violations (unknown_rule_violations ~file suppressions @ violations)
-  in
-  { violations; suppressed = List.length suppressed }
-
-let lint_file ?rules file = lint_source ?rules ~file (read_file file)
+  List.concat_map (fun r -> r.Rule.check ctx structure) rules
 
 (* ------------------------------------------------------------------ *)
 (* File discovery                                                      *)

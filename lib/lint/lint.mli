@@ -1,6 +1,5 @@
-(** dblint driver: parse [.ml] sources with compiler-libs, run the rule
-    registry over each, filter through suppression comments, and render
-    the surviving violations.
+(** The per-file rule family (comment marker [dblint]): run the rule
+    registry over one parsed unit, and render violations of any family.
 
     The checks are purely syntactic (no typing pass), which keeps them
     fast and dependency-free; each rule compensates with path scoping
@@ -11,24 +10,19 @@ val all_rules : Rule.t list
 (** The registry, in reporting order. *)
 
 val rule_names : string list
-(** Names of {!all_rules}, the vocabulary allow comments may use. *)
+(** Names of {!all_rules}, the vocabulary [dblint] allow comments may
+    use. *)
 
-val find_rule : string -> Rule.t option
-
-type file_result = {
-  violations : Rule.violation list;  (** unsuppressed, in source order *)
-  suppressed : int;  (** count silenced by allow comments *)
-}
-
-val lint_source : ?rules:Rule.t list -> file:string -> string -> file_result
-(** Lint source text as if it lived at [file] (which scopes the rules:
-    protocol basename, [lib/] membership, allowlists).  The [mli-coverage]
-    rule consults the filesystem for a sibling [.mli].  An allow comment
-    naming a rule outside {!rule_names} yields an [unknown-rule]
-    violation (typos must not suppress silently).
-    @raise Syntaxerr.Error on unparseable input. *)
-
-val lint_file : ?rules:Rule.t list -> string -> file_result
+val check :
+  Rule.t list ->
+  file:string ->
+  source:string ->
+  Parsetree.structure ->
+  Rule.violation list
+(** Run [rules] over one unit's parsed structure as if it lived at
+    [file] (which scopes the rules: protocol basename, [lib/]
+    membership, allowlists).  The [mli-coverage] rule consults the
+    filesystem for a sibling [.mli].  Unsuppressed and unsorted. *)
 
 val collect_files : string list -> string list
 (** Expand files/directories into a deterministically ordered [.ml] list,

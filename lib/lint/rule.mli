@@ -1,4 +1,6 @@
-(** Rule interface for dblint: a named check over one parsed source file. *)
+(** Rule interface for the per-file family ([dblint] marker): a named
+    check over one parsed source file, and the violation record every
+    family reports. *)
 
 type violation = {
   rule : string;  (** rule name, e.g. ["no-nondeterminism"] *)

@@ -1,6 +1,5 @@
-(** SARIF 2.1.0 rendering shared by the dblint and dbflow CLIs, so both
-    can feed GitHub code-scanning (inline PR annotations) from the same
-    writer.  Only the slice of the format those consumers read is
+(** SARIF 2.1.0 rendering for [dbcheck], so every rule family feeds
+    GitHub code-scanning (inline PR annotations) from one writer.  Only the slice of the format those consumers read is
     emitted: one run, the tool driver with its rule catalogue, and one
     result per violation with a physical location. *)
 

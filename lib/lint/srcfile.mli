@@ -1,6 +1,6 @@
-(** Reading and parsing [.ml] sources, shared by dblint (per-file rules)
-    and dbflow (whole-program analysis) so the two tools agree on
-    locations and encoding. *)
+(** Reading and parsing [.ml] sources for {!Dbtree_flow.Program}, the
+    one parse every rule family of [dbcheck] runs over, so all families
+    agree on locations and encoding. *)
 
 val read_file : string -> string
 (** Whole file as a string, read in binary mode (byte offsets in

@@ -11,6 +11,9 @@
     Output is a pure function of ring contents: same seed, same file,
     byte for byte. *)
 
+val escape : string -> string
+(** Escape a string for embedding in a JSON string literal. *)
+
 val to_string : Obs.t list -> string
 
 val write : path:string -> Obs.t list -> unit

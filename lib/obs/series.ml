@@ -162,31 +162,17 @@ let pp_prometheus ppf t =
     else Fmt.pf ppf "%s{run=%S} %d@." pn t.label v
   done
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "{\"label\":\"%s\",\"every\":%d,\"scrapes\":%d,\"series\":["
-       (json_escape t.label) t.every t.scrapes);
+       (Export.escape t.label) t.every t.scrapes);
   for i = 0 to t.n - 1 do
     if i > 0 then Buffer.add_char buf ',';
     let s = t.series.(i) in
     Buffer.add_string buf
       (Printf.sprintf "\n{\"name\":\"%s\",\"type\":\"%s\",\"points\":["
-         (json_escape s.s_name) (source_type s.source));
+         (Export.escape s.s_name) (source_type s.source));
     List.iteri
       (fun j (time, v) ->
         if j > 0 then Buffer.add_char buf ',';

@@ -10,8 +10,8 @@ type counter = int ref
 (* Log-bucketed histogram: 16 sub-buckets per octave (<= 6.25% relative
    error on percentiles), values below 16 bucketed exactly.  Observation
    is branch + shift + two array ops — cheap enough for hot paths, and
-   unlike the count/sum/min/max summary it keeps the whole latency
-   distribution (p50/p90/p99 instead of a lossy mean).
+   it keeps the whole latency distribution (p50/p90/p99, not just the
+   count/sum/min/max a [summary] reports).
 
    The bucketing scheme itself lives in [Dbtree_obs.Logbucket] so the
    telemetry plane's window sketches index the same bucket space. *)
@@ -33,16 +33,10 @@ let bucket_lower = Logbucket.lower
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  summaries : (string, summary ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
 }
 
-let create () =
-  {
-    counters = Hashtbl.create 64;
-    summaries = Hashtbl.create 16;
-    hists = Hashtbl.create 16;
-  }
+let create () = { counters = Hashtbl.create 64; hists = Hashtbl.create 16 }
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with
@@ -61,20 +55,6 @@ let incr ?(by = 1) t name = add (counter t name) by
 
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let observe t name x =
-  match Hashtbl.find_opt t.summaries name with
-  | Some r ->
-    let s = !r in
-    r :=
-      {
-        count = s.count + 1;
-        sum = s.sum +. x;
-        min = Float.min s.min x;
-        max = Float.max s.max x;
-      }
-  | None ->
-    Hashtbl.add t.summaries name (ref { count = 1; sum = x; min = x; max = x })
 
 let hist t name =
   match Hashtbl.find_opt t.hists name with
@@ -138,14 +118,9 @@ let hist_to_summary h =
   }
 
 let summary t name =
-  match Hashtbl.find_opt t.summaries name with
-  | Some r -> Some !r
-  | None -> (
-    (* Histograms answer summary lookups too, so converting a metric
-       from [observe] to [hist_observe] does not break readers. *)
-    match Hashtbl.find_opt t.hists name with
-    | Some h when h.h_count > 0 -> Some (hist_to_summary h)
-    | _ -> None)
+  match Hashtbl.find_opt t.hists name with
+  | Some h when h.h_count > 0 -> Some (hist_to_summary h)
+  | _ -> None
 
 let mean s = if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
 
@@ -174,18 +149,7 @@ let counter_handles t = sorted_bindings t.counters
 let hists t =
   sorted_bindings t.hists |> List.filter (fun (_, h) -> h.h_count > 0)
 
-let summaries t =
-  let direct =
-    List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.summaries)
-  in
-  let from_hists =
-    List.filter_map
-      (fun (k, h) ->
-        if Hashtbl.mem t.summaries k then None
-        else Some (k, hist_to_summary h))
-      (hists t)
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) (direct @ from_hists)
+let summaries t = List.map (fun (k, h) -> (k, hist_to_summary h)) (hists t)
 
 let get_prefix t p =
   let plen = String.length p in
@@ -201,7 +165,6 @@ let reset t =
      reset, so the refs are kept and only their contents dropped. *)
   (* dblint: allow no-nondeterminism -- zeroing refs in place is order-insensitive *)
   Hashtbl.iter (fun _ r -> r := 0) t.counters;
-  Hashtbl.reset t.summaries;
   (* Histogram handles stay live across a reset, like counters. *)
   (* dblint: allow no-nondeterminism -- zeroing hists in place is order-insensitive *)
   Hashtbl.iter

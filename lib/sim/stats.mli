@@ -3,8 +3,9 @@
     A [Stats.t] is a mutable bag of metrics keyed by string.  Protocol code
     increments counters ("msg.relay_insert", "split.blocked", ...) and the
     experiment harness reads them back after the run.  Two metric shapes are
-    supported: integer counters and scalar summaries (count / sum / min /
-    max), the latter used for latencies and queue lengths.
+    supported: integer counters and log-bucketed histograms, the latter
+    used for latencies and queue lengths and also read back as scalar
+    summaries (count / sum / min / max).
 
     Hot paths should not pay a hash + string compare per increment: resolve
     the counter once with {!counter} and bump the returned handle with
@@ -45,23 +46,16 @@ val incr : ?by:int -> t -> string -> unit
 val get : t -> string -> int
 (** Counter value, 0 if never incremented. *)
 
-val observe : t -> string -> float -> unit
-(** Record one sample into summary [name]. *)
-
 val summary : t -> string -> summary option
-(** Summary [name] if it exists; if not, but a {!hist} of that name has
-    samples, its count/sum/min/max are synthesized into a summary — so
-    converting a metric from {!observe} to {!hist_observe} is invisible
-    to readers. *)
+(** The count/sum/min/max of {!hist} [name], if it has samples. *)
 
 val mean : summary -> float
 
 (** {2 Log-bucketed histograms}
 
     16 sub-buckets per octave (≤ 6.25% relative error on percentiles);
-    integer samples (ticks, bytes, queue lengths).  Unlike {!observe}
-    these keep the whole distribution, so tail latency (p90/p99) is
-    recoverable.  Resolve the handle once with {!hist} off the hot path;
+    integer samples (ticks, bytes, queue lengths).  They keep the whole
+    distribution, so tail latency (p90/p99) is recoverable.  Resolve the handle once with {!hist} off the hot path;
     {!hist_observe} is a branch, a shift and two array operations. *)
 
 type hist
@@ -117,16 +111,15 @@ val counter_handles : t -> (string * counter) list
     registration pass by the owner. *)
 
 val summaries : t -> (string * summary) list
-(** Direct summaries plus one synthesized from each non-empty {!hist}
-    whose name has no direct summary, sorted by name. *)
+(** The {!summary} of each non-empty {!hist}, sorted by name. *)
 
 val get_prefix : t -> string -> int
 (** [get_prefix t p] sums every counter whose name starts with [p]. *)
 
 val reset : t -> unit
-(** Zero every counter and histogram and drop every summary.  Interned
-    handles from {!counter}/{!hist} remain valid (they are zeroed in
-    place, not discarded). *)
+(** Zero every counter and histogram.  Interned handles from
+    {!counter}/{!hist} remain valid (they are zeroed in place, not
+    discarded). *)
 
 val pp : t Fmt.t
 (** Render all metrics, one per line, for debugging. *)

@@ -22,4 +22,5 @@ let () =
       ("flow", Test_flow.suite);
       ("race", Test_race.suite);
       ("perf", Test_perf_lint.suite);
+      ("check", Test_check.suite);
     ]

@@ -8,16 +8,17 @@ open Dbtree_flow
 open Dbtree_lint
 
 let kern src = Program.of_sources [ ("lib/fix/kern.ml", src) ]
-let only name = [ Option.get (Flow.find_rule name) ]
+let only name = [ name ]
+let analyze ?(rules = Flow.rule_names) prog = Check.analyze ~rules prog
 
-let rules_of (r : Flow.report) =
-  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Flow.violations
+let rules_of (r : Check.report) =
+  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Check.violations
 
-let messages_of (r : Flow.report) =
-  List.map (fun (v : Rule.violation) -> v.Rule.message) r.Flow.violations
+let messages_of (r : Check.report) =
+  List.map (fun (v : Rule.violation) -> v.Rule.message) r.Check.violations
 
 let check_fires name ~sub prog =
-  let r = Flow.analyze ~rules:(only name) prog in
+  let r = analyze ~rules:(only name) prog in
   Alcotest.(check (list string)) (name ^ " fires") [ name ] (rules_of r);
   let msg = List.hd (messages_of r) in
   let contains s sub =
@@ -30,7 +31,7 @@ let check_fires name ~sub prog =
     true (contains msg sub)
 
 let check_clean name prog =
-  let r = Flow.analyze ~rules:(only name) prog in
+  let r = analyze ~rules:(only name) prog in
   Alcotest.(check (list string)) (name ^ " silent") [] (rules_of r)
 
 (* ---------------------------------------------------------------- *)
@@ -296,20 +297,20 @@ let test_span_paired_clean () =
 
 let test_suppress_dbflow () =
   let r =
-    Flow.analyze ~rules:(only "span-pairing")
+    analyze ~rules:(only "span-pairing")
       (kern
          "(* dbflow: allow span-pairing -- fixture *)\n\
           let start cl = Cluster.event cl Event.Split_start\n")
   in
   Alcotest.(check (list string)) "suppressed" [] (rules_of r);
-  Alcotest.(check int) "counted" 1 r.Flow.suppressed
+  Alcotest.(check int) "counted" 1 r.Check.suppressed
 
 let test_dblint_marker_inert_for_dbflow () =
   (* A dblint-marked allow must not silence a dbflow violation.  The
      marker is assembled so dblint's own textual scan of this test file
      does not read the fixture's comment. *)
   let r =
-    Flow.analyze ~rules:(only "span-pairing")
+    analyze ~rules:(only "span-pairing")
       (kern
          (Fmt.str
             "(* %s: allow span-pairing *)\n\
@@ -319,7 +320,7 @@ let test_dblint_marker_inert_for_dbflow () =
   Alcotest.(check (list string)) "still fires" [ "span-pairing" ] (rules_of r)
 
 let test_unknown_rule_warns () =
-  let r = Flow.analyze (kern "(* dbflow: allow no-such-rule *)\nlet x = 1\n") in
+  let r = analyze (kern "(* dbflow: allow no-such-rule *)\nlet x = 1\n") in
   Alcotest.(check (list string)) "pseudo-rule" [ "unknown-rule" ] (rules_of r)
 
 (* ---------------------------------------------------------------- *)
@@ -327,14 +328,14 @@ let test_unknown_rule_warns () =
 
 let test_sarif_well_formed () =
   let r =
-    Flow.analyze ~rules:(only "span-pairing")
+    analyze ~rules:(only "span-pairing")
       (kern "let start cl = Cluster.event cl Event.Split_start\n")
   in
   let buf = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer buf in
   Sarif.pp ppf ~tool:"dbflow"
     ~rules:(List.map (fun (ru : Flow.rule) -> (ru.Flow.name, ru.Flow.doc)) Flow.all_rules)
-    r.Flow.violations;
+    r.Check.violations;
   Format.pp_print_flush ppf ();
   let module J = Dbtree_obs.Json in
   let json = J.parse (Buffer.contents buf) in
@@ -352,7 +353,7 @@ let test_sarif_well_formed () =
     (List.length rules);
   let results = Option.get (J.to_list (get run "results")) in
   Alcotest.(check int) "one result per violation"
-    (List.length r.Flow.violations) (List.length results);
+    (List.length r.Check.violations) (List.length results);
   let result = List.hd results in
   Alcotest.(check (option string))
     "ruleId" (Some "span-pairing")
@@ -407,13 +408,13 @@ let test_repo_clean () =
     Alcotest.(check (list string))
       "no parse errors" []
       (List.map fst errs);
-    let r = Flow.analyze prog in
+    let r = analyze prog in
     Alcotest.(check (list string))
       "zero unsuppressed flow violations in lib/ and bin/" []
       (List.map
          (fun (v : Rule.violation) ->
            Fmt.str "%s:%d %s" v.Rule.file v.Rule.line v.Rule.rule)
-         r.Flow.violations)
+         r.Check.violations)
   end
 
 let suite =

@@ -3,9 +3,10 @@
    exactly the annotated line / file. *)
 
 open Dbtree_lint
+open Dbtree_flow
 
-let rules_of (r : Lint.file_result) =
-  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Lint.violations
+let rules_of (r : Check.report) =
+  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Check.violations
 
 (* Every fixture lints as if it lived at this path: inside [lib/], not a
    protocol module, not allowlisted.  The path is fictitious, which also
@@ -13,9 +14,12 @@ let rules_of (r : Lint.file_result) =
    for the other rules run with an explicit rule list. *)
 let fixture_path = "lib/fixtures/snippet.ml"
 
-let lint ?rules src = Lint.lint_source ?rules ~file:fixture_path src
+let lint_source ?(rules = Lint.rule_names) ~file src =
+  Check.analyze ~rules (Program.of_sources [ (file, src) ])
 
-let only name = [ Option.get (Lint.find_rule name) ]
+let lint_file ?rules file = lint_source ?rules ~file (Srcfile.read_file file)
+let lint ?rules src = lint_source ?rules ~file:fixture_path src
+let only name = [ name ]
 
 (* ---------------------------------------------------------------- *)
 (* no-nondeterminism *)
@@ -41,7 +45,7 @@ let test_nondet_clean () =
 let test_nondet_allowlisted_path () =
   (* rng.ml itself may use raw randomness. *)
   let r =
-    Lint.lint_source
+    lint_source
       ~rules:(only "no-nondeterminism")
       ~file:"lib/sim/rng.ml" "let x () = Random.int 10\n"
   in
@@ -58,7 +62,7 @@ let dispatch_bad =
 
 let test_dispatch_fires () =
   let r =
-    Lint.lint_source
+    lint_source
       ~rules:(only "exhaustive-dispatch")
       ~file:"lib/dbtree/variable.ml" dispatch_bad
   in
@@ -68,7 +72,7 @@ let test_dispatch_fires () =
 let test_dispatch_fires_in_core () =
   (* The shared kernel core is protocol code too. *)
   let r =
-    Lint.lint_source
+    lint_source
       ~rules:(only "exhaustive-dispatch")
       ~file:"lib/dbtree/kernel_core.ml" dispatch_bad
   in
@@ -83,7 +87,7 @@ let test_dispatch_non_protocol_silent () =
 
 let test_dispatch_explicit_clean () =
   let r =
-    Lint.lint_source
+    lint_source
       ~rules:(only "exhaustive-dispatch")
       ~file:"lib/dbtree/fixed.ml"
       "let handle msg =\n\
@@ -169,7 +173,7 @@ let test_mli_clean_with_interface () =
   in
   write ml "let x = 1\n";
   write mli "val x : int\n";
-  let r = Lint.lint_file ~rules:(only "mli-coverage") ml in
+  let r = lint_file ~rules:(only "mli-coverage") ml in
   Sys.remove ml;
   Sys.remove mli;
   Unix.rmdir (Filename.concat dir "lib");
@@ -178,7 +182,7 @@ let test_mli_clean_with_interface () =
 
 let test_mli_skips_bin () =
   let r =
-    Lint.lint_source ~rules:(only "mli-coverage") ~file:"bin/tool.ml"
+    lint_source ~rules:(only "mli-coverage") ~file:"bin/tool.ml"
       "let x = 1\n"
   in
   Alcotest.(check (list string)) "bin/ exempt" [] (rules_of r)
@@ -193,7 +197,7 @@ let test_suppress_line () =
        let x () = Random.int 10\n\
        let y () = Random.int 10\n"
   in
-  Alcotest.(check int) "one suppressed" 1 r.Lint.suppressed;
+  Alcotest.(check int) "one suppressed" 1 r.Check.suppressed;
   Alcotest.(check (list string))
     "unannotated line still flagged" [ "no-nondeterminism" ] (rules_of r)
 
@@ -204,7 +208,7 @@ let test_suppress_file () =
        let x () = Random.int 10\n\
        let y () = Random.int 10\n"
   in
-  Alcotest.(check int) "both suppressed" 2 r.Lint.suppressed;
+  Alcotest.(check int) "both suppressed" 2 r.Check.suppressed;
   Alcotest.(check (list string)) "nothing reported" [] (rules_of r)
 
 let test_suppress_wrong_rule () =
@@ -222,8 +226,8 @@ let test_suppress_file_and_line_mix () =
      covered by neither still fires. *)
   let rules =
     [
-      Option.get (Lint.find_rule "no-nondeterminism");
-      Option.get (Lint.find_rule "interned-stats");
+      "no-nondeterminism";
+      "interned-stats";
     ]
   in
   let r =
@@ -235,7 +239,7 @@ let test_suppress_file_and_line_mix () =
        \n\
        let d stats name = Stats.counter stats name\n"
   in
-  Alcotest.(check int) "two suppressed" 2 r.Lint.suppressed;
+  Alcotest.(check int) "two suppressed" 2 r.Check.suppressed;
   Alcotest.(check (list string))
     "only the uncovered interning fires" [ "interned-stats" ] (rules_of r)
 
@@ -246,7 +250,7 @@ let test_suppress_final_line_no_newline () =
     lint ~rules:(only "no-nondeterminism")
       "let x () = Random.int 10 (* dblint: allow no-nondeterminism *)"
   in
-  Alcotest.(check int) "suppressed" 1 r.Lint.suppressed;
+  Alcotest.(check int) "suppressed" 1 r.Check.suppressed;
   Alcotest.(check (list string)) "nothing reported" [] (rules_of r)
 
 let test_unknown_rule_name_warns () =
@@ -267,10 +271,8 @@ let test_repo_clean () =
   (* dune runs tests in a sandbox rooted at the build dir; only run the
      self-lint when the sources are visible from here. *)
   if Sys.file_exists "lib" && Sys.is_directory "lib" then begin
-    let files = Lint.collect_files [ "lib"; "bin" ] in
-    let dirty =
-      List.concat_map (fun f -> (Lint.lint_file f).Lint.violations) files
-    in
+    let prog, _ = Program.load [ "lib"; "bin" ] in
+    let dirty = (Check.analyze ~rules:Lint.rule_names prog).Check.violations in
     Alcotest.(check (list string))
       "zero unsuppressed violations in lib/ and bin/" []
       (List.map

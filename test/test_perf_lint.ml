@@ -16,13 +16,14 @@ open Dbtree_flow
 open Dbtree_lint
 
 let kern src = Program.of_sources [ ("lib/fix/kern.ml", src) ]
-let only name = [ Option.get (Perf.find_rule name) ]
+let only name = [ name ]
+let analyze ?(rules = Perf.rule_names) prog = Check.analyze ~rules prog
 
-let rules_of (r : Perf.report) =
-  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Perf.violations
+let rules_of (r : Check.report) =
+  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Check.violations
 
-let messages_of (r : Perf.report) =
-  List.map (fun (v : Rule.violation) -> v.Rule.message) r.Perf.violations
+let messages_of (r : Check.report) =
+  List.map (fun (v : Rule.violation) -> v.Rule.message) r.Check.violations
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -30,7 +31,7 @@ let contains s sub =
   go 0
 
 let check_fires ?(count = 1) name ~sub prog =
-  let r = Perf.analyze ~rules:(only name) prog in
+  let r = analyze ~rules:(only name) prog in
   Alcotest.(check (list string))
     (name ^ " fires")
     (List.init count (fun _ -> name))
@@ -41,7 +42,7 @@ let check_fires ?(count = 1) name ~sub prog =
     true (contains msg sub)
 
 let check_clean name prog =
-  let r = Perf.analyze ~rules:(only name) prog in
+  let r = analyze ~rules:(only name) prog in
   Alcotest.(check (list string)) (name ^ " silent") [] (rules_of r)
 
 (* Assembled annotation: [(* dbperf: <kw> -- <why> *)]. *)
@@ -201,7 +202,7 @@ let test_alloc_ok_gone_cold_fires () =
 
 let test_suppress_dbperf_line () =
   let r =
-    Perf.analyze ~rules:(only "hot-alloc")
+    analyze ~rules:(only "hot-alloc")
       (kern
          (Fmt.str
             "let on_msg x =\n\
@@ -211,7 +212,7 @@ let test_suppress_dbperf_line () =
             (Fmt.str "(* %s allow hot-alloc -- fixture *)" "dbperf:")))
   in
   Alcotest.(check (list string)) "suppressed" [] (rules_of r);
-  Alcotest.(check int) "counted" 1 r.Perf.suppressed
+  Alcotest.(check int) "counted" 1 r.Check.suppressed
 
 let test_dbrace_marker_inert_for_dbperf () =
   check_fires "hot-alloc" ~sub:"Kern.on_msg"
@@ -225,7 +226,7 @@ let test_dbrace_marker_inert_for_dbperf () =
 
 let test_unknown_rule_warns () =
   let r =
-    Perf.analyze
+    analyze
       (kern
          (Fmt.str "%s\nlet x = 1\n"
             (Fmt.str "(* %s allow no-such-rule *)" "dbperf:")))
@@ -267,7 +268,7 @@ let test_pre_fix_logbucket_msb_caught () =
         ("lib/sim/stats.ml", "let hist_observe h v = ignore h; Logbucket.index v\n");
       ]
   in
-  let r = Perf.analyze ~rules:(only "hot-alloc") prog in
+  let r = analyze ~rules:(only "hot-alloc") prog in
   Alcotest.(check bool)
     "the msb closure is caught" true
     (List.exists
@@ -291,7 +292,7 @@ let test_post_fix_logbucket_msb_clean () =
    [Telemetry.touch]. *)
 let test_pre_fix_telemetry_touch_caught () =
   let r =
-    Perf.analyze ~rules:(only "hot-alloc")
+    analyze ~rules:(only "hot-alloc")
       (Program.of_sources
          [
            ( "lib/dbtree/telemetry.ml",
@@ -371,13 +372,13 @@ let test_repo_clean () =
   if Sys.file_exists "lib" && Sys.is_directory "lib" then begin
     let prog, errs = Program.load [ "lib"; "bin" ] in
     Alcotest.(check (list string)) "no parse errors" [] (List.map fst errs);
-    let r = Perf.analyze prog in
+    let r = analyze prog in
     Alcotest.(check (list string))
       "zero unsuppressed dbperf violations in lib/ and bin/" []
       (List.map
          (fun (v : Rule.violation) ->
            Fmt.str "%s:%d %s" v.Rule.file v.Rule.line v.Rule.rule)
-         r.Perf.violations)
+         r.Check.violations)
   end
 
 let test_gc_proven_statically_hot () =

@@ -14,13 +14,14 @@ open Dbtree_flow
 open Dbtree_lint
 
 let kern src = Program.of_sources [ ("lib/fix/kern.ml", src) ]
-let only name = [ Option.get (Race.find_rule name) ]
+let only name = [ name ]
+let analyze ?(rules = Race.rule_names) prog = Check.analyze ~rules prog
 
-let rules_of (r : Race.report) =
-  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Race.violations
+let rules_of (r : Check.report) =
+  List.map (fun (v : Rule.violation) -> v.Rule.rule) r.Check.violations
 
-let messages_of (r : Race.report) =
-  List.map (fun (v : Rule.violation) -> v.Rule.message) r.Race.violations
+let messages_of (r : Check.report) =
+  List.map (fun (v : Rule.violation) -> v.Rule.message) r.Check.violations
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -28,7 +29,7 @@ let contains s sub =
   go 0
 
 let check_fires ?(count = 1) name ~sub prog =
-  let r = Race.analyze ~rules:(only name) prog in
+  let r = analyze ~rules:(only name) prog in
   Alcotest.(check (list string))
     (name ^ " fires")
     (List.init count (fun _ -> name))
@@ -39,7 +40,7 @@ let check_fires ?(count = 1) name ~sub prog =
     true (contains msg sub)
 
 let check_clean name prog =
-  let r = Race.analyze ~rules:(only name) prog in
+  let r = analyze ~rules:(only name) prog in
   Alcotest.(check (list string)) (name ^ " silent") [] (rules_of r)
 
 (* Assembled annotation: [(* dbrace: <kw> -- <why> *)]. *)
@@ -166,7 +167,7 @@ let test_atomic_exchange_clean () =
 
 let test_suppress_dbrace_line () =
   let r =
-    Race.analyze ~rules:(only "par-shared-state")
+    analyze ~rules:(only "par-shared-state")
       (kern
          (Fmt.str
             "let hits = ref 0\n\
@@ -176,13 +177,13 @@ let test_suppress_dbrace_line () =
             (Fmt.str "(* %s allow par-shared-state -- fixture *)" "dbrace:")))
   in
   Alcotest.(check (list string)) "suppressed" [] (rules_of r);
-  Alcotest.(check int) "counted" 1 r.Race.suppressed
+  Alcotest.(check int) "counted" 1 r.Check.suppressed
 
 let test_suppress_dbrace_file_and_line_mix () =
   (* allow-file silences one rule everywhere; the line allow silences the
      other only at its site — a second unsuppressed site must survive. *)
   let r =
-    Race.analyze
+    analyze
       (kern
          (Fmt.str
             "%s\n\
@@ -202,13 +203,13 @@ let test_suppress_dbrace_file_and_line_mix () =
       Alcotest.(check string) "only the uncovered site" "par-shared-state"
         v.Rule.rule;
       Alcotest.(check int) "at the far read" 6 v.Rule.line)
-    r.Race.violations;
-  Alcotest.(check bool) "something survived" true (r.Race.violations <> []);
-  Alcotest.(check bool) "something suppressed" true (r.Race.suppressed > 0)
+    r.Check.violations;
+  Alcotest.(check bool) "something survived" true (r.Check.violations <> []);
+  Alcotest.(check bool) "something suppressed" true (r.Check.suppressed > 0)
 
 let test_dbflow_marker_inert_for_dbrace () =
   let r =
-    Race.analyze ~rules:(only "par-shared-state")
+    analyze ~rules:(only "par-shared-state")
       (kern
          (Fmt.str
             "let hits = ref 0\n\
@@ -222,7 +223,7 @@ let test_dbflow_marker_inert_for_dbrace () =
 
 let test_unknown_rule_warns () =
   let r =
-    Race.analyze
+    analyze
       (kern
          (Fmt.str "%s\nlet x = 1\n"
             (Fmt.str "(* %s allow no-such-rule *)" "dbrace:")))
@@ -257,7 +258,7 @@ let test_pre_fix_obs_race_caught () =
     Program.of_sources
       [ ("lib/fix/obs.ml", pre_fix_obs); ("lib/fix/cell.ml", pre_fix_cell) ]
   in
-  let r = Race.analyze ~rules:(only "par-shared-state") prog in
+  let r = analyze ~rules:(only "par-shared-state") prog in
   let on_force_on =
     List.filter (fun m -> contains m "Obs.force_on") (messages_of r)
   in
@@ -266,7 +267,7 @@ let test_pre_fix_obs_race_caught () =
   Alcotest.(check bool)
     "and the registry read" true
     (List.exists (fun m -> contains m "Obs.registry") (messages_of r));
-  let ri = Race.analyze ~rules:(only "init-once") prog in
+  let ri = analyze ~rules:(only "init-once") prog in
   Alcotest.(check bool)
     "init-once catches the registry push" true
     (List.exists (fun m -> contains m "Obs.registry") (messages_of ri))
@@ -319,13 +320,13 @@ let test_repo_clean () =
     Alcotest.(check (list string))
       "no parse errors" []
       (List.map fst errs);
-    let r = Race.analyze prog in
+    let r = analyze prog in
     Alcotest.(check (list string))
       "zero unsuppressed dbrace violations in lib/ and bin/" []
       (List.map
          (fun (v : Rule.violation) ->
            Fmt.str "%s:%d %s" v.Rule.file v.Rule.line v.Rule.rule)
-         r.Race.violations)
+         r.Check.violations)
   end
 
 let suite =
