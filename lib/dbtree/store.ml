@@ -302,8 +302,6 @@ let apply_record t = function
    hash-bucket order escapes. *)
 let digest t =
   let buf = Buffer.create 1024 in
-  (* dblint: allow no-nondeterminism -- unordered fold feeds the sort below *)
-  let sorted h = List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) h []) in
   for id = 0 to Array.length t.copies - 1 do
     match t.copies.(id) with
     | None -> ()
@@ -322,10 +320,10 @@ let digest t =
   Buffer.add_string buf (string_of_int t.root);
   List.iter
     (fun kv -> Buffer.add_string buf (Marshal.to_string kv []))
-    (sorted t.forwarding);
+    (Dbtree_sim.Stats.sorted_bindings t.forwarding);
   List.iter
     (fun kv -> Buffer.add_string buf (Marshal.to_string kv []))
-    (sorted t.departed);
+    (Dbtree_sim.Stats.sorted_bindings t.departed);
   for id = 0 to Array.length t.pending - 1 do
     match t.pending.(id) with
     | [] -> ()

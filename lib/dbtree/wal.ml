@@ -1,12 +1,18 @@
 (* Per-processor durability: a deterministic, simulated single-writer
    store.  Every state change a processor must survive a crash with is
    appended as one typed record; every [snapshot_every] records the log
-   is compacted into a canonical snapshot (one record per live fact,
-   sorted) and truncated.  Recovery replays snapshot + tail log, in
+   is compacted into a canonical snapshot (one record per live fact, in
+   key order) and truncated.  Recovery replays snapshot + tail log, in
    order, through closure-free record dispatch — records are plain data
    over ints and {!Msg} payloads, tagged with dense interned ids like
    [Msg.kind_id], so replay allocates nothing per record beyond the
    rebuilt state itself.
+
+   Each append also applies its record once to a live replay state, so
+   [live = replay (snapshot, tail)] holds at every step.  Compaction
+   sweeps that state (node-keyed facts sit in arenas indexed by node
+   id) instead of re-materializing the journal and sorting it, and its
+   cost is one pass over the live facts.
 
    The log doubles as the durable half of the reliable transport: sends
    are journaled until the cumulative ack retires them, and per-source
@@ -83,12 +89,42 @@ let record_size = function
   | Send { msg; _ } -> 16 + Msg.size msg
   | Retire _ | Deliver _ -> 16
 
+(* One outbound channel's durable state.  The transport hands out send
+   indices in strictly rising order per destination and retires a prefix
+   of what it sent, so the unretired sends form a FIFO queue and a
+   [Retire] pops its front — the same set a filter over all of them
+   would keep. *)
+type chan = {
+  unretired : record Queue.t;  (** [Send] records, oldest first *)
+  mutable sent : int;  (** abs high-water: one past the highest abs seen *)
+}
+
+(* Live replay state.  [append] applies every record here once, so at
+   all times [live = replay (snap, log)]: compaction and [net_state] read
+   it directly and never re-materialize the journal.
+
+   The node-keyed facts (the newest [Write] image and the location hint)
+   live in dense arenas indexed by node id, as [Store] keeps its copies
+   (node ids are the cluster's dense sequence of small ints), so the
+   canonical snapshot is one ascending-id sweep with no sort.  A hint is
+   held as the [Learn] record the snapshot emits for it.  The channel
+   tables are indexed by pid; the remaining side tables stay small. *)
 type t = {
   pid : int;
   snapshot_every : int;  (** log records between compactions; 0 = never *)
   mutable snap : record list;  (** last snapshot, canonical order *)
   mutable log : record list;  (** tail since the snapshot, newest first *)
   mutable log_len : int;
+  (* live state *)
+  mutable nodes : record option array;  (** node -> newest [Write] *)
+  mutable where : record option array;  (** node -> hint, as a [Learn] *)
+  mutable arena_bytes : int;  (** [record_size] total over both arenas *)
+  mutable root : int;
+  departed : (int, unit) Hashtbl.t;
+  forwarding : (int, int) Hashtbl.t;
+  parked : (int, Msg.t list) Hashtbl.t;  (** newest first *)
+  mutable outbound : chan option array;  (** dst -> outbound channel *)
+  mutable delivered : int array;  (** src -> delivered count *)
   (* monotone accounting, over the whole life of the store *)
   mutable records_total : int;
   mutable bytes_total : int;
@@ -106,6 +142,15 @@ let create ~pid ~snapshot_every =
     snap = [];
     log = [];
     log_len = 0;
+    nodes = Array.make 64 None;
+    where = Array.make 64 None;
+    arena_bytes = 0;
+    root = -1;
+    departed = Hashtbl.create 8;
+    forwarding = Hashtbl.create 8;
+    parked = Hashtbl.create 8;
+    outbound = Array.make 8 None;
+    delivered = Array.make 8 0;
     records_total = 0;
     bytes_total = 0;
     snapshots = 0;
@@ -122,144 +167,158 @@ let snapshot_bytes t = t.snap_bytes
 let replaying t = t.replaying
 let set_replaying t b = t.replaying <- b
 
-(* ------------------------------------------------------------------ *)
-(* Materialized replay state.  Used both by compaction (to build the
-   next snapshot) and by recovery (via [fold]/[net_state]).            *)
+(* [a] grown by doubling until index [i] is in bounds. *)
+let grow a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let rec cap c = if i < c then c else cap (c * 2) in
+    let a' = Array.make (cap (n * 2)) fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  end
 
-type state = {
-  nodes : (int, record) Hashtbl.t;  (* node -> latest Write *)
-  where : (int, int list) Hashtbl.t;
-  mutable root : int;
-  departed : (int, unit) Hashtbl.t;
-  forwarding : (int, int) Hashtbl.t;
-  parked : (int, Msg.t list) Hashtbl.t;  (* newest first *)
-  outbound : (int, (int * Msg.t) list) Hashtbl.t;
-      (* dst -> unretired sends, newest first, with their abs index *)
-  sent : (int, int) Hashtbl.t;  (* dst -> sends journaled (abs high-water) *)
-  delivered : (int, int) Hashtbl.t;  (* src -> delivered count *)
-  mutable ops_done : int;
-}
+(* Arena stores keep [arena_bytes] current, so a snapshot's size costs
+   nothing per node. *)
+let slot_bytes = function Some r -> record_size r | None -> 0
 
-let fresh_state () =
-  {
-    nodes = Hashtbl.create 64;
-    where = Hashtbl.create 64;
-    root = -1;
-    departed = Hashtbl.create 8;
-    forwarding = Hashtbl.create 8;
-    parked = Hashtbl.create 8;
-    outbound = Hashtbl.create 8;
-    sent = Hashtbl.create 8;
-    delivered = Hashtbl.create 8;
-    ops_done = 0;
-  }
+(* The two arenas grow together, so one bound covers both. *)
+let ensure t node =
+  if node >= Array.length t.nodes then begin
+    t.nodes <- grow t.nodes node None;
+    t.where <- grow t.where node None
+  end
 
-let apply_to_state st r =
+let set_node t node v =
+  ensure t node;
+  t.arena_bytes <- t.arena_bytes - slot_bytes t.nodes.(node) + slot_bytes v;
+  t.nodes.(node) <- v
+
+let set_where t node v =
+  ensure t node;
+  t.arena_bytes <- t.arena_bytes - slot_bytes t.where.(node) + slot_bytes v;
+  t.where.(node) <- v
+
+let chan t dst =
+  t.outbound <- grow t.outbound dst None;
+  match t.outbound.(dst) with
+  | Some c -> c
+  | None ->
+    let c = { unretired = Queue.create (); sent = 0 } in
+    t.outbound.(dst) <- Some c;
+    c
+
+let apply t r =
   match r with
   | Write { snap; members; _ } ->
     (* [Store.install]/[Store.wrote] refresh the location hint from the
        member list, so a [Write] carries a [where] update too; folding it
-       here keeps compaction faithful to the interleaved live order
-       (a snapshot emits Writes before Learns, so [st.where] must hold
-       the final hint, not just the last explicit [Learn]). *)
-    Hashtbl.replace st.nodes snap.Msg.s_id r;
-    Hashtbl.replace st.where snap.Msg.s_id members
-  | Remove { node } -> Hashtbl.remove st.nodes node
-  | Learn { node; members } -> Hashtbl.replace st.where node members
-  | Unlearn { node } -> Hashtbl.remove st.where node
-  | Root { node } -> st.root <- node
-  | Depart { node } -> Hashtbl.replace st.departed node ()
-  | Undepart { node } -> Hashtbl.remove st.departed node
-  | Forward { node; dst } -> Hashtbl.replace st.forwarding node dst
-  | Unforward { node } -> Hashtbl.remove st.forwarding node
+       here keeps the snapshot faithful to the interleaved live order
+       (a snapshot emits Writes before Learns, so [where] must hold the
+       final hint, not just the last explicit [Learn]). *)
+    let node = snap.Msg.s_id in
+    set_node t node (Some r);
+    set_where t node (Some (Learn { node; members }))
+  | Remove { node } -> set_node t node None
+  | Learn { node; _ } -> set_where t node (Some r)
+  | Unlearn { node } -> set_where t node None
+  | Root { node } -> t.root <- node
+  | Depart { node } -> Hashtbl.replace t.departed node ()
+  | Undepart { node } -> Hashtbl.remove t.departed node
+  | Forward { node; dst } -> Hashtbl.replace t.forwarding node dst
+  | Unforward { node } -> Hashtbl.remove t.forwarding node
   | Park { node; msg } ->
-    let prev = Option.value (Hashtbl.find_opt st.parked node) ~default:[] in
-    Hashtbl.replace st.parked node (msg :: prev)
-  | Unpark { node } -> Hashtbl.remove st.parked node
-  | Op_done _ -> st.ops_done <- st.ops_done + 1
-  | Send { dst; abs; msg } ->
-    let prev = Option.value (Hashtbl.find_opt st.outbound dst) ~default:[] in
-    Hashtbl.replace st.outbound dst ((abs, msg) :: prev);
-    let hi = Option.value (Hashtbl.find_opt st.sent dst) ~default:0 in
-    Hashtbl.replace st.sent dst (max hi (abs + 1))
+    let prev = Option.value (Hashtbl.find_opt t.parked node) ~default:[] in
+    Hashtbl.replace t.parked node (msg :: prev)
+  | Unpark { node } -> Hashtbl.remove t.parked node
+  | Op_done _ -> ()
+  | Send { dst; abs; _ } ->
+    let c = chan t dst in
+    Queue.push r c.unretired;
+    c.sent <- max c.sent (abs + 1)
   | Retire { dst; abs } ->
-    let prev = Option.value (Hashtbl.find_opt st.outbound dst) ~default:[] in
-    Hashtbl.replace st.outbound dst
-      (List.filter (fun (a, _) -> a > abs) prev);
+    let c = chan t dst in
+    while
+      match Queue.peek_opt c.unretired with
+      | Some (Send { abs = a; _ }) -> a <= abs
+      | Some _ | None -> false
+    do
+      ignore (Queue.pop c.unretired)
+    done;
     (* retiring through [abs] implies at least [abs + 1] sends happened;
        this is what lets a snapshot of a fully-drained channel carry the
        abs high-water as a single Retire record *)
-    let hi = Option.value (Hashtbl.find_opt st.sent dst) ~default:0 in
-    Hashtbl.replace st.sent dst (max hi (abs + 1))
+    c.sent <- max c.sent (abs + 1)
   | Deliver { src; abs } ->
-    let prev = Option.value (Hashtbl.find_opt st.delivered src) ~default:0 in
-    Hashtbl.replace st.delivered src (max prev (abs + 1))
+    t.delivered <- grow t.delivered src 0;
+    t.delivered.(src) <- max t.delivered.(src) (abs + 1)
 
-(* Replay order: snapshot first, then the tail log oldest-first. *)
-let iter_records t f =
-  List.iter f t.snap;
-  List.iter f (List.rev t.log)
-
-let materialize t =
-  let st = fresh_state () in
-  iter_records t (fun r -> apply_to_state st r);
-  st
-
-(* Deterministic canonical listing of a materialized state.  Hashtbl
-   iteration order never escapes: every table is folded into a list and
-   sorted by key before records are emitted. *)
-let sorted_bindings h =
-  List.sort (fun (a, _) (b, _) -> compare a b)
-    (* dblint: allow no-nondeterminism -- unordered fold feeds the sort by key above *)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
-
-let canonical st =
-  let recs = ref [] in
+(* The canonical snapshot of the live state: one record per live fact,
+   sections in a fixed order, each in ascending key order — Writes,
+   Learns, Unlearns, Root, Departs, Forwards, Parks (oldest first per
+   node), Sends (oldest first per channel), the high-water Retire of each
+   drained channel, Delivers.  The list is built back to front (sections
+   in reverse, each swept downward), so it comes out in order with no
+   reversal and no sort; returns it with its size in bytes. *)
+let canonical t =
+  let recs = ref [] and bytes = ref t.arena_bytes in
   let push r = recs := r :: !recs in
-  List.iter (fun (_, r) -> push r) (sorted_bindings st.nodes);
-  List.iter (fun (node, members) -> push (Learn { node; members }))
-    (sorted_bindings st.where);
+  (* a record not held in an arena: its size is not in [arena_bytes] *)
+  let emit r =
+    push r;
+    bytes := !bytes + record_size r
+  in
+  for src = Array.length t.delivered - 1 downto 0 do
+    let n = t.delivered.(src) in
+    if n > 0 then emit (Deliver { src; abs = n - 1 })
+  done;
+  (* preserve the abs high-water for channels whose queue drained *)
+  for dst = Array.length t.outbound - 1 downto 0 do
+    match t.outbound.(dst) with
+    | Some c when c.sent > 0 && Queue.is_empty c.unretired ->
+      emit (Retire { dst; abs = c.sent - 1 })
+    | Some _ | None -> ()
+  done;
+  for dst = Array.length t.outbound - 1 downto 0 do
+    match t.outbound.(dst) with
+    | Some c ->
+      List.iter emit (Queue.fold (fun acc r -> r :: acc) [] c.unretired)
+    | None -> ()
+  done;
+  List.iter
+    (fun (node, msgs) -> List.iter (fun msg -> emit (Park { node; msg })) msgs)
+    (List.rev (Dbtree_sim.Stats.sorted_bindings t.parked));
+  List.iter (fun (node, dst) -> emit (Forward { node; dst }))
+    (List.rev (Dbtree_sim.Stats.sorted_bindings t.forwarding));
+  List.iter (fun (node, ()) -> emit (Depart { node }))
+    (List.rev (Dbtree_sim.Stats.sorted_bindings t.departed));
+  if t.root >= 0 then emit (Root { node = t.root });
   (* replaying a Write re-installs the hint; if it was since unlearned,
      say so explicitly or the snapshot resurrects it *)
-  List.iter
-    (fun (node, _) ->
-      if not (Hashtbl.mem st.where node) then push (Unlearn { node }))
-    (sorted_bindings st.nodes);
-  if st.root >= 0 then push (Root { node = st.root });
-  List.iter (fun (node, ()) -> push (Depart { node }))
-    (sorted_bindings st.departed);
-  List.iter (fun (node, dst) -> push (Forward { node; dst }))
-    (sorted_bindings st.forwarding);
-  List.iter
-    (fun (node, msgs) ->
-      List.iter (fun msg -> push (Park { node; msg })) (List.rev msgs))
-    (sorted_bindings st.parked);
-  List.iter
-    (fun (dst, items) ->
-      List.iter (fun (abs, msg) -> push (Send { dst; abs; msg }))
-        (List.sort compare (List.map (fun (a, m) -> (a, m)) items)))
-    (sorted_bindings st.outbound);
-  (* preserve the abs high-water for channels whose queue drained *)
-  List.iter
-    (fun (dst, hi) ->
-      if hi > 0 && Hashtbl.find_opt st.outbound dst = Some [] then
-        push (Retire { dst; abs = hi - 1 }))
-    (sorted_bindings st.sent);
-  List.iter (fun (src, n) -> push (Deliver { src; abs = n - 1 }))
-    (List.filter (fun (_, n) -> n > 0) (sorted_bindings st.delivered));
-  List.rev !recs
+  for node = Array.length t.nodes - 1 downto 0 do
+    match (t.nodes.(node), t.where.(node)) with
+    | Some _, None -> emit (Unlearn { node })
+    | _ -> ()
+  done;
+  for node = Array.length t.where - 1 downto 0 do
+    match t.where.(node) with Some r -> push r | None -> ()
+  done;
+  for node = Array.length t.nodes - 1 downto 0 do
+    match t.nodes.(node) with Some r -> push r | None -> ()
+  done;
+  (!recs, !bytes)
 
 let compact t =
-  let st = materialize t in
-  let snap = canonical st in
+  let snap, bytes = canonical t in
   t.snap <- snap;
   t.log <- [];
   t.log_len <- 0;
   t.snapshots <- t.snapshots + 1;
-  t.snap_bytes <- List.fold_left (fun acc r -> acc + record_size r) 0 snap
+  t.snap_bytes <- bytes
 
 let append t r =
   if not t.replaying then begin
+    apply t r;
     t.log <- r :: t.log;
     t.log_len <- t.log_len + 1;
     t.records_total <- t.records_total + 1;
@@ -270,24 +329,38 @@ let append t r =
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
+(* Replay order: snapshot first, then the tail log oldest-first. *)
 let replay t f =
   let n = ref 0 in
-  iter_records t (fun r ->
-      incr n;
-      f r);
+  let feed r =
+    incr n;
+    f r
+  in
+  List.iter feed t.snap;
+  List.iter feed (List.rev t.log);
   !n
 
-(* Durable network state for [Net.restore_proc]: unretired outbound
-   sends per destination (oldest first, with abs indices), the abs
-   high-water per destination, and the per-source delivered counts. *)
+(* Durable network state for [Net.restore_proc], read off the live
+   state: unretired outbound sends per destination (oldest first, with
+   abs indices), the abs high-water per destination, and the per-source
+   delivered counts. *)
 let net_state t =
-  let st = materialize t in
-  let outbound =
-    List.map (fun (dst, items) -> (dst, List.sort compare items))
-      (sorted_bindings st.outbound)
-  in
-  let sent = sorted_bindings st.sent in
-  let delivered =
-    List.filter (fun (_, n) -> n > 0) (sorted_bindings st.delivered)
-  in
-  (outbound, sent, delivered)
+  let outbound = ref [] and sent = ref [] and delivered = ref [] in
+  for dst = Array.length t.outbound - 1 downto 0 do
+    match t.outbound.(dst) with
+    | Some c ->
+      let items =
+        Queue.fold
+          (fun acc r ->
+            match r with Send { abs; msg; _ } -> (abs, msg) :: acc | _ -> acc)
+          [] c.unretired
+      in
+      outbound := (dst, List.rev items) :: !outbound;
+      sent := (dst, c.sent) :: !sent
+    | None -> ()
+  done;
+  for src = Array.length t.delivered - 1 downto 0 do
+    let n = t.delivered.(src) in
+    if n > 0 then delivered := (src, n) :: !delivered
+  done;
+  (!outbound, !sent, !delivered)

@@ -4,10 +4,13 @@
     Every state change a processor must survive a crash with is appended
     as one typed {!record}; every [snapshot_every] records the log is
     compacted into a canonical snapshot (one record per live fact, in
-    sorted key order) and truncated.  Recovery replays snapshot + tail
-    log in order through closure-free record dispatch — records are
-    plain data over ints and {!Msg} payloads, tagged with dense interned
-    ids like [Msg.kind_id].
+    key order) and truncated.  Recovery replays snapshot + tail log in
+    order through closure-free record dispatch — records are plain data
+    over ints and {!Msg} payloads, tagged with dense interned ids like
+    [Msg.kind_id].  Alongside the log the store keeps a live replay
+    state, updated by every {!append}, that always equals "snapshot +
+    tail replayed"; compaction and {!net_state} read it instead of
+    replaying the journal.
 
     The log doubles as the durable half of the reliable transport
     (see {!Net.Make.persist}): sends are journaled until the cumulative
@@ -52,13 +55,19 @@ val create : pid:int -> snapshot_every:int -> t
 val pid : t -> int
 
 val append : t -> record -> unit
-(** Journal one record (and compact if the threshold is reached).
-    Ignored while {!replaying} — a recovery must never re-journal the
-    facts it is reading. *)
+(** Journal one record, apply it to the live state, and compact if the
+    threshold is reached.  Ignored while {!replaying} — a recovery must
+    never re-journal the facts it is reading.  Transport records follow
+    the reliable sublayer's contract: per destination, [Send] indices
+    rise strictly and a [Retire] covers only indices already sent;
+    [Retire] and [Deliver] indices are [>= 0]. *)
 
 val compact : t -> unit
-(** Force a snapshot now: materialize the live facts, store them in
-    canonical sorted order, truncate the log. *)
+(** Force a snapshot now: sweep the live state into its canonical
+    snapshot and truncate the log.  The snapshot lists Writes, Learns,
+    Unlearns, Root, Departs, Forwards, Parks, Sends, drained-channel
+    Retires and Delivers, each section in ascending key order; its
+    cost is one pass over the live facts, with no replay and no sort. *)
 
 val replay : t -> (record -> unit) -> int
 (** Feed the snapshot then the tail log, oldest first, to the callback;
@@ -71,10 +80,10 @@ val replaying : t -> bool
 
 val net_state :
   t -> (int * (int * Msg.t) list) list * (int * int) list * (int * int) list
-(** [(outbound, sent, delivered)] for {!Net.Make.restore_proc}:
-    unretired sends per destination (oldest first, with their abs
-    indices), per-destination send high-waters, per-source delivered
-    counts.  All lists sorted by processor id. *)
+(** [(outbound, sent, delivered)] for {!Net.Make.restore_proc}, read off
+    the live state: unretired sends per destination (oldest first, with
+    their abs indices), per-destination send high-waters, per-source
+    delivered counts.  All lists sorted by processor id. *)
 
 (** {2 Accounting} (monotone over the store's whole life) *)
 

@@ -191,6 +191,261 @@ let test_crash_config_validation () =
     (fun () -> ignore (Mobile.create (Config.make ~durability:durable ())))
 
 (* ------------------------------------------------------------------ *)
+(* Journal compaction                                                  *)
+
+(* The reference oracle: the journal as it was before [Wal] kept a live
+   replay state.  Compaction replays snapshot + tail into fresh hash
+   tables ([materialize]) and sorts every table into the canonical
+   snapshot ([canonical]).  The code of both, and of [net_state], is
+   kept unchanged (only two comments are trimmed). *)
+module Reference_wal = struct
+  open Wal
+
+  type t = {
+    snapshot_every : int;
+    mutable snap : record list;
+    mutable log : record list;
+    mutable log_len : int;
+    mutable snapshots : int;
+    mutable snap_bytes : int;
+  }
+
+  let create ~snapshot_every =
+    { snapshot_every; snap = []; log = []; log_len = 0; snapshots = 0;
+      snap_bytes = 0 }
+
+  type state = {
+    nodes : (int, record) Hashtbl.t;  (* node -> latest Write *)
+    where : (int, int list) Hashtbl.t;
+    mutable root : int;
+    departed : (int, unit) Hashtbl.t;
+    forwarding : (int, int) Hashtbl.t;
+    parked : (int, Msg.t list) Hashtbl.t;  (* newest first *)
+    outbound : (int, (int * Msg.t) list) Hashtbl.t;
+        (* dst -> unretired sends, newest first, with their abs index *)
+    sent : (int, int) Hashtbl.t;  (* dst -> sends journaled (abs high-water) *)
+    delivered : (int, int) Hashtbl.t;  (* src -> delivered count *)
+    mutable ops_done : int;
+  }
+
+  let fresh_state () =
+    {
+      nodes = Hashtbl.create 64;
+      where = Hashtbl.create 64;
+      root = -1;
+      departed = Hashtbl.create 8;
+      forwarding = Hashtbl.create 8;
+      parked = Hashtbl.create 8;
+      outbound = Hashtbl.create 8;
+      sent = Hashtbl.create 8;
+      delivered = Hashtbl.create 8;
+      ops_done = 0;
+    }
+
+  let apply_to_state st r =
+    match r with
+    | Write { snap; members; _ } ->
+      Hashtbl.replace st.nodes snap.Msg.s_id r;
+      Hashtbl.replace st.where snap.Msg.s_id members
+    | Remove { node } -> Hashtbl.remove st.nodes node
+    | Learn { node; members } -> Hashtbl.replace st.where node members
+    | Unlearn { node } -> Hashtbl.remove st.where node
+    | Root { node } -> st.root <- node
+    | Depart { node } -> Hashtbl.replace st.departed node ()
+    | Undepart { node } -> Hashtbl.remove st.departed node
+    | Forward { node; dst } -> Hashtbl.replace st.forwarding node dst
+    | Unforward { node } -> Hashtbl.remove st.forwarding node
+    | Park { node; msg } ->
+      let prev = Option.value (Hashtbl.find_opt st.parked node) ~default:[] in
+      Hashtbl.replace st.parked node (msg :: prev)
+    | Unpark { node } -> Hashtbl.remove st.parked node
+    | Op_done _ -> st.ops_done <- st.ops_done + 1
+    | Send { dst; abs; msg } ->
+      let prev = Option.value (Hashtbl.find_opt st.outbound dst) ~default:[] in
+      Hashtbl.replace st.outbound dst ((abs, msg) :: prev);
+      let hi = Option.value (Hashtbl.find_opt st.sent dst) ~default:0 in
+      Hashtbl.replace st.sent dst (max hi (abs + 1))
+    | Retire { dst; abs } ->
+      let prev = Option.value (Hashtbl.find_opt st.outbound dst) ~default:[] in
+      Hashtbl.replace st.outbound dst
+        (List.filter (fun (a, _) -> a > abs) prev);
+      let hi = Option.value (Hashtbl.find_opt st.sent dst) ~default:0 in
+      Hashtbl.replace st.sent dst (max hi (abs + 1))
+    | Deliver { src; abs } ->
+      let prev = Option.value (Hashtbl.find_opt st.delivered src) ~default:0 in
+      Hashtbl.replace st.delivered src (max prev (abs + 1))
+
+  let iter_records t f =
+    List.iter f t.snap;
+    List.iter f (List.rev t.log)
+
+  let materialize t =
+    let st = fresh_state () in
+    iter_records t (fun r -> apply_to_state st r);
+    st
+
+  let sorted_bindings h =
+    List.sort (fun (a, _) (b, _) -> compare a b)
+      (* dblint: allow no-nondeterminism -- unordered fold feeds the sort by key above *)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+
+  let canonical st =
+    let recs = ref [] in
+    let push r = recs := r :: !recs in
+    List.iter (fun (_, r) -> push r) (sorted_bindings st.nodes);
+    List.iter (fun (node, members) -> push (Learn { node; members }))
+      (sorted_bindings st.where);
+    List.iter
+      (fun (node, _) ->
+        if not (Hashtbl.mem st.where node) then push (Unlearn { node }))
+      (sorted_bindings st.nodes);
+    if st.root >= 0 then push (Root { node = st.root });
+    List.iter (fun (node, ()) -> push (Depart { node }))
+      (sorted_bindings st.departed);
+    List.iter (fun (node, dst) -> push (Forward { node; dst }))
+      (sorted_bindings st.forwarding);
+    List.iter
+      (fun (node, msgs) ->
+        List.iter (fun msg -> push (Park { node; msg })) (List.rev msgs))
+      (sorted_bindings st.parked);
+    List.iter
+      (fun (dst, items) ->
+        List.iter (fun (abs, msg) -> push (Send { dst; abs; msg }))
+          (List.sort compare (List.map (fun (a, m) -> (a, m)) items)))
+      (sorted_bindings st.outbound);
+    List.iter
+      (fun (dst, hi) ->
+        if hi > 0 && Hashtbl.find_opt st.outbound dst = Some [] then
+          push (Retire { dst; abs = hi - 1 }))
+      (sorted_bindings st.sent);
+    List.iter (fun (src, n) -> push (Deliver { src; abs = n - 1 }))
+      (List.filter (fun (_, n) -> n > 0) (sorted_bindings st.delivered));
+    List.rev !recs
+
+  let compact t =
+    let st = materialize t in
+    let snap = canonical st in
+    t.snap <- snap;
+    t.log <- [];
+    t.log_len <- 0;
+    t.snapshots <- t.snapshots + 1;
+    t.snap_bytes <- List.fold_left (fun acc r -> acc + record_size r) 0 snap
+
+  let append t r =
+    t.log <- r :: t.log;
+    t.log_len <- t.log_len + 1;
+    if t.snapshot_every > 0 && t.log_len >= t.snapshot_every then compact t
+
+  let net_state t =
+    let st = materialize t in
+    let outbound =
+      List.map (fun (dst, items) -> (dst, List.sort compare items))
+        (sorted_bindings st.outbound)
+    in
+    let sent = sorted_bindings st.sent in
+    let delivered =
+      List.filter (fun (_, n) -> n > 0) (sorted_bindings st.delivered)
+    in
+    (outbound, sent, delivered)
+end
+
+(* Decode one random step [(kind, a, b)] into a record.  Node ids mostly
+   collide in 0..7 (so facts overwrite and retract each other) and now
+   and then reach past the arenas' first 64 slots; pids likewise reach
+   past the channel tables' first 8.  Send indices rise per destination
+   (with gaps), and a Retire covers an index already sent, as the
+   transport guarantees.  [None] is an explicit [Wal.compact]. *)
+let journal_step next (kind, a, b) =
+  let node = if a mod 10 = 9 then 60 + a else a mod 8 in
+  let p = if a mod 7 = 6 then 8 + (a mod 5) else a mod 4 in
+  let members = List.init (1 + (b mod 3)) (fun i -> (b + i) mod 4) in
+  let msg = Msg.Split_ack { node = b } in
+  match kind with
+  | 0 | 1 ->
+    let snap =
+      {
+        Msg.s_id = node;
+        s_level = 0;
+        s_low = Dbtree_blink.Bound.Neg_inf;
+        s_high = Dbtree_blink.Bound.Pos_inf;
+        s_entries =
+          List.init (b mod 3) (fun k ->
+              (k, Dbtree_blink.Node.Data (string_of_int b)));
+        s_right = None;
+        s_left = None;
+        s_parent = None;
+        s_version = b;
+        s_base = [];
+      }
+    in
+    Some
+      (Wal.Write
+         {
+           snap;
+           pc = b mod 4;
+           members;
+           join_versions = (if b mod 2 = 0 then [ (b mod 4, b) ] else []);
+           splitting = b mod 5 = 0;
+         })
+  | 2 -> Some (Wal.Remove { node })
+  | 3 -> Some (Wal.Learn { node; members })
+  | 4 -> Some (Wal.Unlearn { node })
+  | 5 -> Some (Wal.Root { node })
+  | 6 -> Some (Wal.Depart { node })
+  | 7 -> Some (Wal.Undepart { node })
+  | 8 -> Some (Wal.Forward { node; dst = p })
+  | 9 -> Some (Wal.Unforward { node })
+  | 10 -> Some (Wal.Park { node; msg })
+  | 11 -> Some (Wal.Unpark { node })
+  | 12 -> Some (Wal.Op_done { op = b })
+  | 13 | 14 ->
+    let abs = next.(p) + (b mod 3) in
+    next.(p) <- abs + 1;
+    Some (Wal.Send { dst = p; abs; msg })
+  | 15 when next.(p) > 0 -> Some (Wal.Retire { dst = p; abs = b mod next.(p) })
+  | 16 when next.(p) > 0 ->
+    (* drain the channel: retire through the newest send *)
+    Some (Wal.Retire { dst = p; abs = next.(p) - 1 })
+  | 15 | 16 | 17 -> Some (Wal.Deliver { src = p; abs = b })
+  | _ -> None
+
+let replayed_records w =
+  let recs = ref [] in
+  ignore (Wal.replay w (fun r -> recs := r :: !recs));
+  List.rev !recs
+
+(* Compaction from the live state is observationally the old
+   replay-and-sort compaction: over random streams and cadences, with
+   explicit compactions interleaved, the replayed record stream, the
+   durable network state and the snapshot accounting match the
+   reference oracle after every step. *)
+let prop_compaction_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"compaction matches the reference oracle"
+    QCheck.(
+      pair (oneofl [ 0; 1; 2; 16 ])
+        (list_of_size Gen.(0 -- 150)
+           (triple (int_bound 18) (int_bound 200) (int_bound 200))))
+    (fun (snapshot_every, steps) ->
+      let w = Wal.create ~pid:0 ~snapshot_every in
+      let r = Reference_wal.create ~snapshot_every in
+      let next = Array.make 16 0 in
+      List.for_all
+        (fun step ->
+          (match journal_step next step with
+          | Some record ->
+            Wal.append w record;
+            Reference_wal.append r record
+          | None ->
+            Wal.compact w;
+            Reference_wal.compact r);
+          replayed_records w = r.snap @ List.rev r.log
+          && Wal.net_state w = Reference_wal.net_state r
+          && Wal.snapshots w = r.snapshots
+          && Wal.snapshot_bytes w = r.snap_bytes
+          && Wal.log_length w = r.log_len)
+        steps)
+
+(* ------------------------------------------------------------------ *)
 (* Kernels end-to-end                                                  *)
 
 let durable = { Config.wal = true; snapshot_every = 128 }
@@ -272,10 +527,11 @@ let test_fixed_recovery_with_compaction () =
   ignore stats;
   check_replay_digests cl
 
-let run_variable ~faults ~count ~seed () =
+let run_variable ?(snapshot_every = 128) ~faults ~count ~seed () =
   let cfg =
     Config.make ~procs:4 ~capacity:4 ~key_space:50_000 ~seed
-      ~transport:Dbtree_sim.Net.Reliable ~durability:durable
+      ~transport:Dbtree_sim.Net.Reliable
+      ~durability:{ Config.wal = true; snapshot_every }
       ~balance_period:400 ~faults ()
   in
   let t = Variable.create cfg in
@@ -294,6 +550,24 @@ let test_variable_crash_recovery () =
   Alcotest.(check bool) "replayed" true (Stats.get stats "recovery.replayed" > 0);
   Alcotest.(check bool) "rejoin requests sent for remote-PC copies" true
     (Stats.get stats "recovery.rejoined" > 0);
+  Alcotest.(check bool) "verifies" true (Verify.ok (Verify.check cl));
+  check_replay_digests cl
+
+(* The Variable kernel journals Remove, Depart and Forward records (its
+   migrations and joins) that Fixed never writes; a small snapshot
+   interval sends them through compaction before the crash's replay. *)
+let test_variable_recovery_with_compaction () =
+  let cl =
+    run_variable ~snapshot_every:16
+      ~faults:(crash_faults [ (2, 100) ])
+      ~count:300 ~seed:5 ()
+  in
+  let stats = Cluster.stats cl in
+  Alcotest.(check int) "crash happened" 1 (Stats.get stats "net.crash.count");
+  Alcotest.(check bool) "snapshots happened" true
+    (Wal.snapshots (Cluster.wal cl 2) > 0);
+  Alcotest.(check bool) "copies migrated" true
+    (Stats.get stats "migrate.count" > 0);
   Alcotest.(check bool) "verifies" true (Verify.ok (Verify.check cl));
   check_replay_digests cl
 
@@ -317,16 +591,18 @@ let test_recovery_deterministic () =
   Alcotest.(check string) "same-seed digests identical" d1 d2;
   Alcotest.(check int) "same-seed completions identical" c1 c2
 
-(* Satellite property: for an arbitrary crash/loss/duplication schedule,
-   the cluster still verifies and every processor's live store equals the
+(* Satellite property: for an arbitrary crash/loss/duplication schedule
+   and snapshot interval, the cluster still verifies and every processor's live store equals the
    store replayed from its own WAL. *)
 let prop_recovery_digest =
   QCheck.Test.make ~count:12 ~name:"random crash schedules recover"
     QCheck.(
-      quad (int_bound 1000) (pair (int_bound 3) (int_range 20 300))
+      quad
+        (pair (int_bound 1000) (oneofl [ 1; 16; 128 ]))
+        (pair (int_bound 3) (int_range 20 300))
         (pair (int_bound 12) (int_bound 8))
         (int_range 1 150))
-    (fun (seed, (proc, tick), (drop, dup), restart) ->
+    (fun ((seed, snapshot_every), (proc, tick), (drop, dup), restart) ->
       (* the shrinker explores below the generator ranges; keep the
          config valid *)
       let restart = max 1 restart and tick = max 0 tick in
@@ -337,7 +613,7 @@ let prop_recovery_digest =
           ~restart
           [ (proc, tick) ]
       in
-      let cl = run_fixed ~faults ~count:150 ~seed () in
+      let cl = run_fixed ~snapshot_every ~faults ~count:150 ~seed () in
       let ok = Verify.ok (Verify.check cl) in
       let digests_ok =
         let procs = cl.Cluster.config.Config.procs in
@@ -414,10 +690,13 @@ let suite =
     Alcotest.test_case "fixed crash recovery" `Quick test_fixed_crash_recovery;
     Alcotest.test_case "fixed recovery under loss" `Quick
       test_fixed_crash_recovery_lossy;
+    QCheck_alcotest.to_alcotest prop_compaction_matches_reference;
     Alcotest.test_case "recovery with snapshot compaction" `Quick
       test_fixed_recovery_with_compaction;
     Alcotest.test_case "variable crash recovery + rejoin" `Quick
       test_variable_crash_recovery;
+    Alcotest.test_case "variable recovery with snapshot compaction" `Quick
+      test_variable_recovery_with_compaction;
     Alcotest.test_case "recovery deterministic" `Quick
       test_recovery_deterministic;
     QCheck_alcotest.to_alcotest prop_recovery_digest;
