@@ -8,7 +8,7 @@
     and an empty leaf simply stays linked (it remains navigable).
 
     Used as (a) the correctness oracle for the distributed protocols,
-    (b) the subject of the E1 micro-benchmarks, and (c) a plain ordered
+    (b) the subject of E1's restructure comparison, and (c) a plain ordered
     dictionary in its own right.
 
     Per-operation counters expose the quantities E1 reports: node accesses,

@@ -78,24 +78,6 @@ let cells quick =
            [ Config.Semi; Config.Sync ])
        procs_list)
 
-(* Flat deterministic metrics for BENCH.json's [scale] sections: every
-   value is simulation output (op counts, event counts, simulated-time
-   ratios), so the same sources produce the same numbers on any machine
-   and the CI gate can compare them within a tight tolerance. *)
-let metrics ?(quick = false) ?domains () =
-  let rows = Par.map ?domains run_cell (cells quick) in
-  Array.to_list rows
-  |> List.concat_map (fun r ->
-         let p = Fmt.str "%d.%s" r.procs (Config.discipline_name r.disc) in
-         [
-           (p ^ ".ops", float_of_int r.ops);
-           (p ^ ".events", float_of_int r.events);
-           (p ^ ".tput", r.tput);
-           (p ^ ".hottest_pct", r.hottest_pct);
-           (p ^ ".aas_stalls", float_of_int r.aas_stalls);
-           (p ^ ".search_p99", r.search_p99);
-         ])
-
 (* Exposed with an explicit domain count so the test suite can pin
    sequential ≡ parallel; [run] (the registry entry point) defaults to
    the [DBTREE_DOMAINS] environment variable via [Par.map]. *)

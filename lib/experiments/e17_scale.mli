@@ -10,8 +10,3 @@ val run : ?quick:bool -> unit -> unit
 val run_with : ?quick:bool -> ?domains:int -> unit -> unit
 (** [run] with an explicit domain count, for the sequential-vs-parallel
     byte-identity tests ([domains:1] spawns no domain at all). *)
-
-val metrics : ?quick:bool -> ?domains:int -> unit -> (string * float) list
-(** Flat ["procs.protocol.metric" -> value] pairs for BENCH.json's
-    [scale] / [scale_quick] sections.  Every value is deterministic
-    simulation output, portable across machines. *)

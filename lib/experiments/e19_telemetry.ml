@@ -244,8 +244,8 @@ let phases_table rows =
    quick mode trims less aggressively than Common.scale. *)
 let phase_count quick = if quick then 200 else 600
 
-(* BENCH.json's "phases" section: flat metrics, stall/net/proc share per
-   discipline, from the same traced runs the table prints. *)
+(* Flat stall/net/proc share per discipline, from the same traced runs
+   the critical-path table prints. *)
 let metrics ?(quick = false) () =
   let count = phase_count quick in
   List.concat_map

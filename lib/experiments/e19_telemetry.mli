@@ -8,5 +8,6 @@ val title : string
 val run : ?quick:bool -> unit -> unit
 
 val metrics : ?quick:bool -> unit -> (string * float) list
-(** BENCH.json's ["phases"] section: [<discipline>.stall_pct /
-    .net_pct / .proc_pct] from traced runs of the three disciplines. *)
+(** [<discipline>.stall_pct / .net_pct / .proc_pct] from traced runs of
+    the three disciplines: the critical-path table's shares as flat
+    pairs. *)

@@ -6,14 +6,11 @@ type t = {
 }
 
 let create ~title ~columns = { title; columns; rows = []; notes = [] }
-let title t = t.title
-let columns t = t.columns
 let rows t = List.rev t.rows
-let notes t = List.rev t.notes
 
-(* Optional capture of every printed table, so the bench harness can dump
-   the experiment message counts into BENCH.json alongside the
-   micro-benchmark estimates. *)
+(* Optional capture of every printed table, so test/quick_tables.exe can
+   render them into the golden tables.expected and tests can read their
+   rows back. *)
 (* dbrace: domain-local -- tables are built and printed on the caller's domain only; Par workers return row data, never a Table *)
 let capture_enabled = ref false
 (* dbrace: domain-local -- same: captured during single-domain rendering, after any Par.map has joined *)

@@ -19,15 +19,10 @@ val print : t -> unit
 (** Render to stdout: title, aligned header, rows, then notes.  When
     capture is on (see {!set_capture}), the table is also recorded. *)
 
-(** {2 Readback} — for machine-readable export of printed tables. *)
-
-val title : t -> string
-val columns : t -> string list
+(** {2 Readback} — for the golden-table renderer and tests. *)
 
 val rows : t -> string list list
 (** Rows in display (insertion) order. *)
-
-val notes : t -> string list
 
 val set_capture : bool -> unit
 (** Enable/disable recording of every subsequently printed table.

@@ -30,14 +30,14 @@ let collect_files paths = List.rev (List.fold_left collect_path [] paths)
 let pp_text ppf (v : Rule.violation) =
   Fmt.pf ppf "%s:%d:%d: [%s] %s@." v.file v.line v.col v.rule v.message
 
-let json_escape = Sarif.json_escape
-
 let pp_json ppf ~files ~suppressed violations =
   let pp_violation ppf (v : Rule.violation) =
     Fmt.pf ppf
       {|{"rule":"%s","file":"%s","line":%d,"col":%d,"message":"%s"}|}
-      (json_escape v.rule) (json_escape v.file) v.line v.col
-      (json_escape v.message)
+      (Dbtree_obs.Export.escape v.rule)
+      (Dbtree_obs.Export.escape v.file)
+      v.line v.col
+      (Dbtree_obs.Export.escape v.message)
   in
   Fmt.pf ppf {|{"files":%d,"suppressed":%d,"violations":[%a]}@.|} files
     suppressed

@@ -35,7 +35,7 @@ let make_ctx ~file ~source =
     file;
     source;
     in_lib = List.mem "lib" comps;
-    nondet_allowlisted = base = "rng.ml" || List.mem "bench" comps;
+    nondet_allowlisted = base = "rng.ml";
     protocol = List.mem base protocol_basenames;
   }
 

@@ -16,8 +16,7 @@ type ctx = {
   source : string;  (** raw file contents *)
   in_lib : bool;  (** the path has a [lib] component *)
   nondet_allowlisted : bool;
-      (** [rng.ml] or anything under [bench/]: may use raw randomness and
-          hash-order iteration *)
+      (** [rng.ml]: may use raw randomness and hash-order iteration *)
   protocol : bool;  (** one of the protocol kernels (see
           {!protocol_basenames}): subject to exhaustive-dispatch *)
 }

@@ -3,8 +3,7 @@
    documented (see store.mli, msg.mli), and it keeps the linkable surface
    of each module deliberate — growth PRs refactor freely, and an absent
    interface lets incidental helpers become load-bearing exports.
-   Executables ([bin/], [test/], [bench/]) are exempt: they export
-   nothing. *)
+   Executables ([bin/], [test/]) are exempt: they export nothing. *)
 
 let check ctx (_ : Parsetree.structure) =
   if

@@ -55,6 +55,6 @@ let rule =
     Rule.name = "no-nondeterminism";
     doc =
       "forbid Random.*, wall clocks and unordered Hashtbl iteration \
-       outside lib/sim/rng.ml and bench/";
+       outside lib/sim/rng.ml";
     check;
   }

@@ -1,19 +1,3 @@
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* SARIF artifact URIs are relative paths with forward slashes. *)
 let uri_of_file file =
   String.map (fun c -> if c = '\\' then '/' else c) file
@@ -21,21 +5,22 @@ let uri_of_file file =
 let pp_rule ppf (name, doc) =
   Fmt.pf ppf
     {|{"id":"%s","shortDescription":{"text":"%s"},"defaultConfiguration":{"level":"error"}}|}
-    (json_escape name) (json_escape doc)
+    (Dbtree_obs.Export.escape name) (Dbtree_obs.Export.escape doc)
 
 let pp_result ppf (v : Rule.violation) =
   (* SARIF regions are 1-based in both coordinates; our columns are
      0-based (compiler convention), so shift. *)
   Fmt.pf ppf
     {|{"ruleId":"%s","level":"error","message":{"text":"%s"},"locations":[{"physicalLocation":{"artifactLocation":{"uri":"%s"},"region":{"startLine":%d,"startColumn":%d}}}]}|}
-    (json_escape v.rule) (json_escape v.message)
-    (json_escape (uri_of_file v.file))
+    (Dbtree_obs.Export.escape v.rule)
+    (Dbtree_obs.Export.escape v.message)
+    (Dbtree_obs.Export.escape (uri_of_file v.file))
     v.line (v.col + 1)
 
 let pp ppf ~tool ~rules violations =
   Fmt.pf ppf
     {|{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0","runs":[{"tool":{"driver":{"name":"%s","informationUri":"https://example.invalid/dbtree","rules":[%a]}},"results":[%a]}]}@.|}
-    (json_escape tool)
+    (Dbtree_obs.Export.escape tool)
     (Fmt.list ~sep:(Fmt.any ",") pp_rule)
     rules
     (Fmt.list ~sep:(Fmt.any ",") pp_result)

@@ -3,9 +3,6 @@
     emitted: one run, the tool driver with its rule catalogue, and one
     result per violation with a physical location. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
-
 val pp :
   Format.formatter ->
   tool:string ->

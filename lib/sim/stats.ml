@@ -124,7 +124,7 @@ let summary t name =
 
 let mean s = if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
 
-(* The one sanctioned way to walk a hash table outside [Rng]/bench code:
+(* The one sanctioned way to walk a hash table outside [Rng]:
    materialize the bindings and sort them by key, so iteration order never
    depends on the table's bucket layout (which would leak into schedules,
    reports and regressions under randomized hashing or a stdlib change).

@@ -84,10 +84,10 @@ val hist_percentile : hist -> float -> int
     [\[min, max\]].  0 when empty.
 
     Two percentile definitions coexist in this repo.  This bucketed one
-    (≤ 6.25% relative error) is what BENCH.json's [latency] section and
-    the telemetry sketches report; experiment latency columns (e.g.
-    E17's [search_p99]) use [Opstate.latency_percentile], the exact
-    nearest-rank over per-op samples.  A qcheck property in
+    (≤ 6.25% relative error) is what {!pp} and the telemetry sketches
+    report; experiment latency columns (e.g. E17's [search_p99]) use
+    [Opstate.latency_percentile], the exact nearest-rank over per-op
+    samples.  A qcheck property in
     [test/test_telemetry.ml] pins their divergence to at most one
     log-bucket. *)
 

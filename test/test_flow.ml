@@ -331,14 +331,32 @@ let test_sarif_well_formed () =
     analyze ~rules:(only "span-pairing")
       (kern "let start cl = Cluster.event cl Event.Split_start\n")
   in
+  (* One extra violation whose message needs every kind of JSON escape. *)
+  let tricky = "quote \" backslash \\ newline \n tab \t ctrl \x01 end" in
+  let extra =
+    {
+      Rule.rule = "span-pairing";
+      file = "lib/dbtree/fixed.ml";
+      line = 2;
+      col = 0;
+      message = tricky;
+    }
+  in
+  let violations = r.Check.violations @ [ extra ] in
   let buf = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer buf in
   Sarif.pp ppf ~tool:"dbflow"
     ~rules:(List.map (fun (ru : Flow.rule) -> (ru.Flow.name, ru.Flow.doc)) Flow.all_rules)
-    r.Check.violations;
+    violations;
   Format.pp_print_flush ppf ();
   let module J = Dbtree_obs.Json in
-  let json = J.parse (Buffer.contents buf) in
+  let text = String.trim (Buffer.contents buf) in
+  (* JSON forbids raw control characters inside strings; the lenient
+     parser below would accept them, so check the bytes directly. *)
+  Alcotest.(check bool)
+    "no raw control bytes" true
+    (String.for_all (fun c -> Char.code c >= 0x20) text);
+  let json = J.parse text in
   let get o k = Option.get (J.member k o) in
   Alcotest.(check (option string))
     "version" (Some "2.1.0")
@@ -353,7 +371,11 @@ let test_sarif_well_formed () =
     (List.length rules);
   let results = Option.get (J.to_list (get run "results")) in
   Alcotest.(check int) "one result per violation"
-    (List.length r.Check.violations) (List.length results);
+    (List.length violations) (List.length results);
+  let last = List.nth results (List.length results - 1) in
+  Alcotest.(check (option string))
+    "escaped message round-trips" (Some tricky)
+    (J.to_string (get (get last "message") "text"));
   let result = List.hd results in
   Alcotest.(check (option string))
     "ruleId" (Some "span-pairing")

@@ -49,7 +49,15 @@ let test_nondet_allowlisted_path () =
       ~rules:(only "no-nondeterminism")
       ~file:"lib/sim/rng.ml" "let x () = Random.int 10\n"
   in
-  Alcotest.(check (list string)) "rng.ml exempt" [] (rules_of r)
+  Alcotest.(check (list string)) "rng.ml exempt" [] (rules_of r);
+  (* Only rng.ml is exempt: a [bench/] path is linted like any other. *)
+  let r =
+    lint_source
+      ~rules:(only "no-nondeterminism")
+      ~file:"bench/x.ml" "let x () = Random.int 10\n"
+  in
+  Alcotest.(check (list string))
+    "bench/ not exempt" [ "no-nondeterminism" ] (rules_of r)
 
 (* ---------------------------------------------------------------- *)
 (* exhaustive-dispatch *)
