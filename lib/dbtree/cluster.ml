@@ -56,10 +56,6 @@ type counters = {
   (* Latency histograms (log-bucketed; see {!Stats.hist}).  Observed on
      every operation completion and at the end of every synchronous
      split's AAS window, whether or not tracing is on. *)
-  lat_search : Stats.hist;
-  lat_insert : Stats.hist;
-  lat_delete : Stats.hist;
-  lat_scan : Stats.hist;
   aas_time : Stats.hist;
 }
 
@@ -107,10 +103,6 @@ let make_counters stats =
     route_no_members = c "route.no_members";
     recovery_replayed = c "recovery.replayed";
     recovery_rejoined = c "recovery.rejoined";
-    lat_search = Stats.hist stats "latency.search";
-    lat_insert = Stats.hist stats "latency.insert";
-    lat_delete = Stats.hist stats "latency.delete";
-    lat_scan = Stats.hist stats "latency.scan";
     aas_time = Stats.hist stats "split.aas_time";
   }
 
@@ -362,12 +354,6 @@ let op_kind_code = function
   | Opstate.Delete -> Event.op_delete
   | Opstate.Scan -> Event.op_scan
 
-let op_latency_hist t = function
-  | Opstate.Search -> t.ctr.lat_search
-  | Opstate.Insert -> t.ctr.lat_insert
-  | Opstate.Delete -> t.ctr.lat_delete
-  | Opstate.Scan -> t.ctr.lat_scan
-
 (* Record the issue of a client operation and make it the ambient causal
    context, so the route message the protocol sends next (and everything
    downstream of it) chains into this op's span. *)
@@ -381,17 +367,17 @@ let op_issue t (r : Opstate.record) =
     Obs.set_context t.obs ~op:r.Opstate.id ~parent:id
   end
 
-(* Completion funnel for every protocol: observes the latency histogram
-   and records [Op_complete] (only on the first completion — duplicate
-   completions under fault injection are counted by [Opstate], not
-   traced), then updates the op registry.  Protocols call this instead
-   of [Opstate.complete] so the accounting cannot be bypassed. *)
+(* Completion funnel for every protocol: feeds the latency to the
+   telemetry sketches and records [Op_complete] (only on the first
+   completion — duplicate completions under fault injection are counted
+   by [Opstate], not traced), then updates the op registry.  Protocols
+   call this instead of [Opstate.complete] so the accounting cannot be
+   bypassed. *)
 let op_complete t ~op ~result =
   let now = Sim.now t.sim in
   (match Opstate.find t.ops op with
   | Some r when r.Opstate.completed_at = None ->
     let lat = now - r.Opstate.issued_at in
-    Stats.hist_observe (op_latency_hist t r.Opstate.kind) lat;
     Telemetry.observe_latency t.telem
       ~kind:(op_kind_code r.Opstate.kind)
       ~now lat;

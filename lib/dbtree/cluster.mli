@@ -55,11 +55,10 @@ type counters = {
   route_no_members : Stats.counter;
   recovery_replayed : Stats.counter;
   recovery_rejoined : Stats.counter;
-  lat_search : Stats.hist;
-  lat_insert : Stats.hist;
-  lat_delete : Stats.hist;
-  lat_scan : Stats.hist;
   aas_time : Stats.hist;
+      (** AAS hold durations (E05's mean, E17's p99, perfbench); the only
+          histogram here.  Op latencies live exactly in {!Opstate} and,
+          windowed, in the {!Telemetry} sketches. *)
 }
 
 type t = {
@@ -159,9 +158,9 @@ val op_issue : t -> Opstate.record -> unit
 
 val op_complete : t -> op:int -> result:Msg.op_result -> unit
 (** The completion funnel every protocol uses instead of calling
-    [Opstate.complete] directly: observes the per-kind latency histogram
-    and records [Op_complete] (first completion only), then updates the
-    op registry. *)
+    [Opstate.complete] directly: feeds the latency to the telemetry
+    sketches and records [Op_complete] (first completion only), then
+    updates the op registry, which keeps every latency exactly. *)
 
 (** {2 History instrumentation} — all no-ops when
     [config.record_history = false]. *)

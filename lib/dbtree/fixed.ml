@@ -62,27 +62,6 @@ let send_relay t ~src ~dst msg =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Node-value manipulation                                             *)
-
-(* Apply an update action to a copy's value; returns the client reply the
-   initial execution owes, if any. *)
-let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
-  let n = copy.Store.node in
-  let store = Cluster.store t.cl pid in
-  let reply =
-    match u with
-    | Msg.Upsert _ | Msg.Remove _ -> Kernel_core.apply_data n key u
-    | Msg.Add_child { child; child_members } ->
-      Node.add_entry n key (Node.Child child);
-      Store.learn store child child_members;
-      None
-    | Msg.Drop_child _ ->
-      Fmt.failwith "Fixed: leaf reclamation is a mobile-protocol extension"
-  in
-  Store.wrote store n.Node.id;
-  reply
-
 let find t pid node = Store.find (Cluster.store t.cl pid) node
 
 (* ------------------------------------------------------------------ *)
@@ -140,6 +119,9 @@ module Core = Kernel_core.Make (struct
   let chase_left = false
   let parent_hints = false
   let versioned_splits = false
+
+  (* Strong: every applied Add_child journals its location fact. *)
+  let learn_child = Store.learn
   let authority _ (copy : Store.rcopy) = copy.Store.pc
   let forward = forward
   let start_route = start_route
@@ -161,7 +143,7 @@ let rec maybe_split t pid (copy : Store.rcopy) =
         ((copy.Store.node.Node.id * procs t) + pid)
         (Cluster.now t.cl);
       Cluster.aas_begin t.cl;
-      match List.filter (fun m -> m <> pid) copy.Store.members with
+      match Kernel_core.others pid copy.Store.members with
       | [] ->
         do_split t pid copy;
         end_aas t pid copy
@@ -221,7 +203,7 @@ and tell_split t pid (copy : Store.rcopy) (s : Kernel_core.split) =
 (* Run [job] at the other copies via [msg]; the PC holds the copy busy
    until all of them ack. *)
 and eager_round t pid (copy : Store.rcopy) job msg =
-  match List.filter (fun m -> m <> pid) copy.Store.members with
+  match Kernel_core.others pid copy.Store.members with
   | [] -> finish_eager t pid copy job
   | others ->
     copy.Store.eager_busy <- true;
@@ -242,7 +224,7 @@ and pump_eager t pid (copy : Store.rcopy) =
       pump_eager t pid copy
     | Some (Store.Eager_apply ({ uid; key; u; _ } as job)) ->
       let node_id = copy.Store.node.Node.id in
-      job.reply <- apply_update t pid copy key u;
+      job.reply <- Core.apply_update t pid copy key u;
       Cluster.hist_record t.cl ~node:node_id ~pid ~mode:Action.Initial ~uid
         (Kernel_core.action_kind key u);
       eager_round t pid copy (Store.Eager_apply job)
@@ -305,62 +287,33 @@ let perform_update t pid (copy : Store.rcopy) ~key ~uid ~(u : Msg.update) =
         }
       :: copy.Store.blocked
   | Config.Sync | Config.Semi | Config.Naive ->
-    let reply = apply_update t pid copy key u in
-    Cluster.hist_record t.cl ~node:node_id ~pid ~mode:Action.Initial ~uid
-      (Kernel_core.action_kind key u);
-    (match reply with
-    | Some (op, result) -> Kernel_core.reply_op t.cl ~src:pid op result
-    | None -> ());
-    let relay =
-      Msg.Relay_update
-        {
-          uid;
-          node = node_id;
-          key;
-          u = Kernel_core.silence u;
-          version = copy.Store.node.Node.version;
-          sender = pid;
-        }
-    in
-    List.iter
-      (fun m -> if m <> pid then send_relay t ~src:pid ~dst:m relay)
-      copy.Store.members;
+    Core.apply_initial t pid copy ~key ~uid ~u;
+    Core.relay_initial t pid copy ~key ~uid ~u ~relay:send_relay;
     maybe_split t pid copy
 
 let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
   match act with
-  | Msg.Search _ | Msg.Scan _ -> Core.read t pid copy ~key ~act
   | Msg.Update { uid; u } -> perform_update t pid copy ~key ~uid ~u
   | Msg.Relink _ | Msg.Absorb _ ->
     Fmt.failwith "Fixed: link-change/absorb actions are a mobile feature"
+  | Msg.Search _ | Msg.Scan _ ->
+    invalid_arg "Fixed.perform: reads are answered by the core"
 
 (* ------------------------------------------------------------------ *)
 (* Message handlers                                                    *)
 
-let handle_route t pid ~key ~level ~node ~act =
-  let store = Cluster.store t.cl pid in
-  match Store.find store node with
-  | None -> (
-    let msg = Msg.Route { key; level; node; act } in
-    match Store.members_opt store node with
-    | Some members
-      when (config t).Config.transport = Dbtree_sim.Net.Reliable
-           && List.exists (fun m -> m <> pid) members ->
-      (* Not a copy-holder, but the location is known: an authority
-         fallback or stale hint landed the route here.  Pass it on to a
-         member rather than parking for an install that never comes. *)
-      Stats.tick (ctr t).Cluster.recover_hinted;
-      send t ~src:pid
-        ~dst:
-          (Kernel_core.choose_member t.cl
-             (List.filter (fun m -> m <> pid) members))
-        msg
-    | Some _ | None ->
-      (* The copy is not installed yet (e.g. a sibling whose Split_done is
-         still in flight): park the action until it is. *)
-      Cluster.park t.cl ~pid ~node msg)
-  | Some copy ->
-    if Core.navigate t pid copy ~key ~level ~act then perform t pid copy ~key ~act
+(* A route for a node with no copy here.  Over the reliable transport a
+   known location means an authority fallback or stale hint landed it
+   here: pass it on to a member.  Otherwise the copy is not installed
+   yet (e.g. a sibling whose Split_done is still in flight): park the
+   action until it is. *)
+let route_miss t pid ~key ~level ~node ~act =
+  let msg = Msg.Route { key; level; node; act } in
+  if
+    not
+      ((config t).Config.transport = Dbtree_sim.Net.Reliable
+      && Kernel_core.pass_to_member t.cl pid msg ~node)
+  then Cluster.park t.cl ~pid ~node msg
 
 let handle_relay t pid ~uid ~node ~key ~u =
   match find t pid node with
@@ -369,11 +322,7 @@ let handle_relay t pid ~uid ~node ~key ~u =
       (Msg.Relay_update { uid; node; key; u; version = 0; sender = pid })
   | Some copy ->
     Cluster.touch t.cl ~node;
-    if Node.in_range copy.Store.node key then begin
-      ignore (apply_update t pid copy key u);
-      Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed ~uid
-        (Kernel_core.action_kind key u);
-      Stats.tick (ctr t).Cluster.relay_applied;
+    if Core.apply_relayed t pid copy ~key ~uid ~u then begin
       Cluster.event t.cl ~pid Event.Relay ~a:node ~b:Event.relay_applied;
       maybe_split t pid copy
     end
@@ -424,7 +373,8 @@ let rec handle t pid ~src msg =
   (* dbflow: class lazy -- piggyback container: each part re-enters dispatch under its own class *)
   | Msg.Batch b -> List.iter (handle t pid ~src) b.Msg.parts
   (* dbflow: class semi -- routing parks on the owning copy and update actions are PC-coordinated (§4.1) *)
-  | Msg.Route { key; level; node; act } -> handle_route t pid ~key ~level ~node ~act
+  | Msg.Route { key; level; node; act } ->
+    Core.handle_route t pid ~key ~level ~node ~act ~perform ~miss:route_miss
   (* dbflow: class lazy -- completion funnel at the origin, independent of any copy's role *)
   | Msg.Op_done { op; result } -> Cluster.op_complete t.cl ~op ~result
   (* dbflow: class semi -- relayed updates are version-ordered per node, discipline-gated at the PC (§3.2) *)
@@ -458,29 +408,13 @@ let rec handle t pid ~src msg =
       if sync then end_aas t pid copy
   end
   (* dbflow: class lazy -- root adoption is monotone on level, so copies may learn it in any order (§4.3) *)
-  | Msg.New_root { snap; members } ->
-    let store = Cluster.store t.cl pid in
-    let is_newer =
-      match Store.find store store.Store.root with
-      | Some current -> snap.Msg.s_level > current.Store.node.Node.level
-      | None -> true
-    in
-    Store.learn store snap.Msg.s_id members;
-    (match Cluster.pc_of_members members with
-    | Error Cluster.Empty_members ->
-      (* no surviving copy-holder to name a primary: wait on the park
-         path rather than tearing the handler down *)
-      Cluster.park ~no_members:true t.cl ~pid ~node:snap.Msg.s_id msg
-    | Ok pc ->
-      if List.mem pid members then
-        Kernel_core.install_snapshot t.cl pid snap ~pc ~members);
-    if is_newer then Store.set_root store snap.Msg.s_id
+  | Msg.New_root { snap; members } -> Core.adopt_root t pid msg ~snap ~members
   (* dbflow: class semi -- eager discipline round: apply then ack to the coordinating PC (E8 baseline) *)
   | Msg.Eager_update { uid; node; key; u } -> begin
     match find t pid node with
     | None -> Cluster.park t.cl ~pid ~node msg
     | Some copy ->
-      ignore (apply_update t pid copy key u);
+      ignore (Core.apply_update t pid copy key u);
       Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed ~uid
         (Kernel_core.action_kind key u);
       send t ~src:pid ~dst:src (Msg.Eager_ack { node })

@@ -43,19 +43,21 @@ let guide_key (n : Msg.value Node.t) =
   | Bound.Neg_inf, (Bound.Pos_inf | Bound.Neg_inf) -> 0
   | Bound.Pos_inf, _ -> invalid_arg "Kernel_core.guide_key: low = +inf"
 
-(* The client-data arms of a kernel's [apply_update]: returns the reply
-   the initial execution owes. *)
-let apply_data (n : Msg.value Node.t) key (u : Msg.update) =
-  match u with
-  | Msg.Upsert { op; value; _ } ->
-    Node.add_entry n key (Node.Data value);
-    Some (op, Msg.Inserted)
-  | Msg.Remove { op; _ } ->
-    let present = Entries.mem n.Node.entries key in
-    Node.remove_entry n key;
-    Some (op, Msg.Removed present)
-  | Msg.Add_child _ | Msg.Drop_child _ ->
-    invalid_arg "Kernel_core.apply_data: not a data update"
+(* Membership walks for the hop, relay and recovery paths: toplevel and
+   taking every argument, so they allocate no closure per call. *)
+let rec has_other (pid : Msg.pid) = function
+  | [] -> false
+  | m :: rest -> m <> pid || has_other pid rest
+
+let rec others (pid : Msg.pid) = function
+  | [] -> []
+  | m :: rest -> if m = pid then others pid rest else m :: others pid rest
+
+let rec fan_out send t (pid : Msg.pid) msg = function
+  | [] -> ()
+  | m :: rest ->
+    if m <> pid then send t ~src:pid ~dst:m msg;
+    fan_out send t pid msg rest
 
 (* Install a copy from a snapshot and re-run whatever was parked here
    for it; a departed mark from an earlier life of the copy is lifted. *)
@@ -92,6 +94,18 @@ let unknown_location cl pid ~name ~authority msg =
          addressed to a concrete processor and must never be lost. *)
       Fmt.failwith "%s: cannot reroute %s" name (Msg.kind msg)
   end
+
+(* A route for a node this processor holds no copy of, whose location
+   it knows: an authority fallback or a stale hint landed it here.  Pass
+   it to another member (counted under [recover.hinted]) rather than
+   wait for an install that never comes. *)
+let pass_to_member cl pid msg ~node =
+  match Store.members_opt (Cluster.store cl pid) node with
+  | Some members when has_other pid members ->
+    Stats.tick cl.Cluster.ctr.Cluster.recover_hinted;
+    Cluster.send cl ~src:pid ~dst:(choose_member cl (others pid members)) msg;
+    true
+  | Some _ | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Tree shape: bootstrap                                               *)
@@ -236,6 +250,7 @@ module type KERNEL = sig
   val chase_left : bool
   val parent_hints : bool
   val versioned_splits : bool
+  val learn_child : Store.t -> Msg.node_id -> Msg.pid list -> unit
   val authority : Msg.pid -> Store.rcopy -> Msg.pid
 
   val forward :
@@ -310,6 +325,123 @@ module Make (K : KERNEL) = struct
     end
     else true
 
+  (* The one update applier: a data update (returning the client reply
+     its initial execution owes), a child entry added (its location
+     learned the kernel's way) or a reclaimed leaf's entry dropped; then
+     the copy is journaled. *)
+  let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
+    let cl = K.cluster t in
+    let n = copy.Store.node in
+    let store = Cluster.store cl pid in
+    let reply =
+      match u with
+      | Msg.Upsert { op; value; _ } ->
+        Node.add_entry n key (Node.Data value);
+        Some (op, Msg.Inserted)
+      | Msg.Remove { op; _ } ->
+        let present = Entries.mem n.Node.entries key in
+        Node.remove_entry n key;
+        Some (op, Msg.Removed present)
+      | Msg.Add_child { child; child_members } ->
+        Node.add_entry n key (Node.Child child);
+        K.learn_child store child child_members;
+        None
+      | Msg.Drop_child { child; fallback; fallback_pid } ->
+        (* dE-tree: retire a freed leaf's parent entry.  The entry is
+           found by value (its key can be the bootstrap sentinel); a first
+           entry is the node's floor and is repointed to the absorber
+           instead. *)
+        let entry =
+          Entries.fold
+            (fun k p acc ->
+              match p with
+              | Node.Child c when c = child -> Some k
+              | Node.Child _ | Node.Data _ -> acc)
+            n.Node.entries None
+        in
+        (match entry with
+        | Some k ->
+          let is_first =
+            match Entries.min_binding n.Node.entries with
+            | Some (k0, _) -> k0 = k
+            | None -> false
+          in
+          if is_first then Node.add_entry n k (Node.Child fallback)
+          else Node.remove_entry n k;
+          Store.learn_if_absent store fallback [ fallback_pid ];
+          Stats.tick cl.Cluster.ctr.Cluster.reclaim_dropped
+        | None -> Stats.tick cl.Cluster.ctr.Cluster.reclaim_drop_stale);
+        None
+    in
+    Store.wrote store n.Node.id;
+    reply
+
+  (* An initial update at a copy of its target: apply it, record it and
+     answer the client. *)
+  let apply_initial t pid (copy : Store.rcopy) ~key ~uid ~u =
+    let cl = K.cluster t in
+    let reply = apply_update t pid copy key u in
+    Cluster.hist_record cl ~node:copy.Store.node.Node.id ~pid ~mode:Action.Initial
+      ~uid (action_kind key u);
+    match reply with
+    | Some (op, result) -> reply_op cl ~src:pid op result
+    | None -> ()
+
+  (* Relay an applied initial update, silenced, to the copy's other
+     members through the kernel's [relay] send; a lone copy builds no
+     message. *)
+  let relay_initial t pid (copy : Store.rcopy) ~key ~uid ~u ~relay =
+    let members = copy.Store.members in
+    if has_other pid members then begin
+      let n = copy.Store.node in
+      fan_out relay t pid
+        (Msg.Relay_update
+           {
+             uid;
+             node = n.Node.id;
+             key;
+             u = silence u;
+             version = n.Node.version;
+             sender = pid;
+           })
+        members
+    end
+
+  (* The in-range half of a relayed update: apply and record it, count it
+     under [relay.applied] and return [true]; return [false], having done
+     nothing, when the copy has already split past [key]. *)
+  let apply_relayed t pid (copy : Store.rcopy) ~key ~uid ~u =
+    Node.in_range copy.Store.node key
+    && begin
+      let cl = K.cluster t in
+      ignore (apply_update t pid copy key u);
+      Cluster.hist_record cl ~node:copy.Store.node.Node.id ~pid
+        ~mode:Action.Relayed ~uid (action_kind key u);
+      Stats.tick cl.Cluster.ctr.Cluster.relay_applied;
+      true
+    end
+
+  (* [New_root]: learn where the new root lives, install a copy if this
+     processor is a member, and make it the local root only when it is
+     higher than the local root copy (or no root copy is held here), so a
+     late, lower announcement never demotes a root held here.  With no
+     member to name a primary, the message waits on the park path. *)
+  let adopt_root t pid msg ~(snap : Msg.snapshot) ~members =
+    let cl = K.cluster t in
+    let store = Cluster.store cl pid in
+    match Cluster.pc_of_members members with
+    | Error Cluster.Empty_members ->
+      Cluster.park ~no_members:true cl ~pid ~node:snap.Msg.s_id msg
+    | Ok pc ->
+      let higher =
+        match Store.find store store.Store.root with
+        | Some current -> snap.Msg.s_level > current.Store.node.Node.level
+        | None -> true
+      in
+      Store.learn store snap.Msg.s_id members;
+      if List.mem pid members then install_snapshot cl pid snap ~pc ~members;
+      if higher then Store.set_root store snap.Msg.s_id
+
   (* The leaf-level reads: answer a search, or collect this leaf's
      bindings in [route key, hi] and continue along the leaf chain while
      it still overlaps the range. *)
@@ -346,6 +478,22 @@ module Make (K : KERNEL) = struct
     | Msg.Update _ | Msg.Relink _ | Msg.Absorb _ ->
       invalid_arg "Kernel_core.read: not a read action"
 
+  (* A routed action arriving at processor [pid]: at a present copy,
+     navigate it, then answer a read or let the kernel [perform] the
+     action; with no copy here, hand it to the kernel's recovery [miss].
+     Both are the kernel's toplevel functions, not per-message
+     closures. *)
+  let handle_route t pid ~key ~level ~node ~act ~perform ~miss =
+    match Store.find (Cluster.store (K.cluster t) pid) node with
+    | None -> miss t pid ~key ~level ~node ~act
+    | Some copy ->
+      if navigate t pid copy ~key ~level ~act then begin
+        match act with
+        | Msg.Search _ | Msg.Scan _ -> read t pid copy ~key ~act
+        | Msg.Update _ | Msg.Relink _ | Msg.Absorb _ ->
+          perform t pid copy ~key ~act
+      end
+
   (* The half-split's history record; only the version-ordered kernels
      stamp it with the node's version. *)
   let record_split cl pid (n : Msg.value Node.t) ~mode ~uid ~sep ~sib_id =
@@ -367,9 +515,7 @@ module Make (K : KERNEL) = struct
           sync;
         }
     in
-    List.iter
-      (fun m -> if m <> pid then Cluster.send (K.cluster t) ~src:pid ~dst:m msg)
-      copy.Store.members
+    fan_out Cluster.send (K.cluster t) pid msg copy.Store.members
 
   (* A split arriving at a copy other than the PC: shrink the copy the
      same way and install the sibling if this processor hosts one. *)

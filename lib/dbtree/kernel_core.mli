@@ -5,11 +5,13 @@
     search and scan, the half-split and its completion (the PC's split
     head, the remote-split apply at the other copies, the §4.1.2
     re-issue to the right sibling, root growth), the unknown-location
-    fallback of [forward], the tree bootstrap and op issue — and differ
+    fallback of [forward], the tree bootstrap and op issue, and the
+    bodies of their message handlers (the route step, the update
+    applier, initial and relayed updates, root adoption) — and differ
     only in how the copies of a node are ordered (the §3 lazy /
     semi-sync / sync taxonomy).  This module owns the shared machine;
-    each kernel keeps its copy-ordering policy and its missing-copy
-    recovery.
+    each kernel keeps its copy-ordering policy, its missing-copy
+    recovery and its own [handle] dispatch, whose arms call in here.
 
     Plain functions need only the {!Cluster.t}; the routing half is the
     {!Make} functor over a small {!KERNEL} policy signature, so hop and
@@ -28,17 +30,9 @@ val reply_op : Cluster.t -> src:Msg.pid -> int -> Msg.op_result -> unit
     re-issue) owes no reply. *)
 
 val action_kind : int -> Msg.update -> Dbtree_history.Action.kind
-val silence : Msg.update -> Msg.update
-(** The same update marked as already answered (relays, re-issues). *)
 
 val guide_key : Msg.value Node.t -> int
 (** A key inside the node's range, to route node-directed actions by. *)
-
-val apply_data :
-  Msg.value Node.t -> int -> Msg.update -> (int * Msg.op_result) option
-(** Apply an [Upsert]/[Remove] to a node; returns the reply it owes.
-    Raises [Invalid_argument] on child-pointer updates, which are each
-    kernel's own. *)
 
 val install_snapshot :
   Cluster.t ->
@@ -57,6 +51,20 @@ val unknown_location :
     routed action at the processor's root; counted under
     [route.lost_hint].  Control traffic cannot be rerouted and fails
     loudly, prefixed with [name]. *)
+
+val has_other : Msg.pid -> Msg.pid list -> bool
+(** Whether the member list names a processor other than the given one. *)
+
+val others : Msg.pid -> Msg.pid list -> Msg.pid list
+(** The member list without the given processor, in order.  Both walks
+    are toplevel and capture nothing: the hop, relay and recovery paths
+    call them with no closure per call. *)
+
+val pass_to_member : Cluster.t -> Msg.pid -> Msg.t -> node:Msg.node_id -> bool
+(** The [recover.hinted] step for a route whose [node] this processor
+    holds no copy of: if the directory names another member, send the
+    route to one of them (counted under [recover.hinted]) and return
+    [true]; else return [false]. *)
 
 (** {1 Tree shape} *)
 
@@ -141,6 +149,13 @@ module type KERNEL = sig
   (** Whether a half-split's history record carries the node's version
       (the version-ordered kernels); [false] records version 0. *)
 
+  val learn_child : Store.t -> Msg.node_id -> Msg.pid list -> unit
+  (** How an applied [Add_child] records the child's location:
+      [Store.learn] ([Fixed], whose strong learn journals a WAL [Learn]
+      record on every [Add_child]) or [Store.learn_if_absent] (the
+      kernels whose nodes move, where a late relayed hint must not
+      overwrite a migration's fresher one). *)
+
   val authority : Msg.pid -> Store.rcopy -> Msg.pid
   (** [authority pid copy]: where a route leaving [copy] on processor
       [pid] falls back when its next hop's location is unknown — the
@@ -168,14 +183,72 @@ module type KERNEL = sig
 end
 
 module Make (K : KERNEL) : sig
-  val navigate :
-    K.t -> Msg.pid -> Store.rcopy -> key:int -> level:int -> act:Msg.routed -> bool
-  (** Route an action arriving at a present copy: descend, chase or
-      climb towards its target, or return [true] when the key is in
-      range at the target level and the caller must perform it. *)
+  val handle_route :
+    K.t ->
+    Msg.pid ->
+    key:int ->
+    level:int ->
+    node:Msg.node_id ->
+    act:Msg.routed ->
+    perform:(K.t -> Msg.pid -> Store.rcopy -> key:int -> act:Msg.routed -> unit) ->
+    miss:
+      (K.t ->
+      Msg.pid ->
+      key:int ->
+      level:int ->
+      node:Msg.node_id ->
+      act:Msg.routed ->
+      unit) ->
+    unit
+  (** A [Route] arriving at a processor: at a present copy, navigate it
+      (descend, chase or climb towards its target) and, once the key is
+      in range at the target level, answer a [Search]/[Scan] at its leaf
+      or [perform] an [Update]/[Relink]/[Absorb]; with no copy here,
+      call [miss] (the kernel's missing-copy recovery). *)
 
-  val read : K.t -> Msg.pid -> Store.rcopy -> key:int -> act:Msg.routed -> unit
-  (** Perform a [Search] or [Scan] at its leaf. *)
+  val apply_update :
+    K.t ->
+    Msg.pid ->
+    Store.rcopy ->
+    int ->
+    Msg.update ->
+    (int * Msg.op_result) option
+  (** Apply an update to a copy and journal it ([Store.wrote]); returns
+      the client reply an initial execution owes.  An [Add_child] learns
+      the child's location through {!KERNEL.learn_child}; a [Drop_child]
+      (leaf reclamation) retires the entry, or repoints a first entry to
+      the absorber. *)
+
+  val apply_initial :
+    K.t -> Msg.pid -> Store.rcopy -> key:int -> uid:int -> u:Msg.update -> unit
+  (** Apply an initial update, record it ([Initial]) and answer the
+      client. *)
+
+  val relay_initial :
+    K.t ->
+    Msg.pid ->
+    Store.rcopy ->
+    key:int ->
+    uid:int ->
+    u:Msg.update ->
+    relay:(K.t -> src:Msg.pid -> dst:Msg.pid -> Msg.t -> unit) ->
+    unit
+  (** Send one silenced [Relay_update] of an applied initial update to
+      each other member of the copy through [relay]; nothing is built
+      when there is no other member. *)
+
+  val apply_relayed :
+    K.t -> Msg.pid -> Store.rcopy -> key:int -> uid:int -> u:Msg.update -> bool
+  (** A relayed update whose key is in the copy's range: apply it, record
+      it ([Relayed]), count it under [relay.applied] and return [true].
+      Out of range, do nothing and return [false]. *)
+
+  val adopt_root :
+    K.t -> Msg.pid -> Msg.t -> snap:Msg.snapshot -> members:Msg.pid list -> unit
+  (** The [New_root] rule: learn the root's location, install a copy if
+      this processor is a member, and make it the local root only if it
+      is higher than the local root copy or no root copy is held here.
+      An empty member list parks the message ([route.no_members]). *)
 
   val half_split :
     K.t ->

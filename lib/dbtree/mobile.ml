@@ -48,24 +48,21 @@ let forward t pid ~authority:_ msg next =
         | Some m -> send t ~src:pid ~dst:m msg
         | None -> Fmt.failwith "Mobile: processor %d cannot reach the root" pid
 
-(* Recovery when a message arrives for a node this processor does not
+(* Recovery when a route arrives for a node this processor does not
    store (§4.2 "missing node"): forwarding address if we kept one,
    else our own location hint (we always update it when a node leaves
    us), else re-route the action from a local node that is at or above
    the action's level, else bounce via the root. *)
-let recover t pid msg ~node ~level =
+let recover t pid ~key ~level ~node ~act =
   let store = Cluster.store t.cl pid in
+  let msg = Msg.Route { key; level; node; act } in
   Stats.tick (ctr t).Cluster.recover_count;
   match Hashtbl.find_opt store.Store.forwarding node with
   | Some fwd ->
     Stats.tick (ctr t).Cluster.recover_forwarded;
     send t ~src:pid ~dst:fwd msg
-  | None -> (
-    match hint_of t pid node with
-    | Some m ->
-      Stats.tick (ctr t).Cluster.recover_hinted;
-      send t ~src:pid ~dst:m msg
-    | None ->
+  | None ->
+    if not (Kernel_core.pass_to_member t.cl pid msg ~node) then begin
       (* Restart the navigation root-ward: the highest local node sees
          the repaired parent entries, while an arbitrary sibling would
          chase stale links through reclaimed territory. *)
@@ -81,22 +78,19 @@ let recover t pid msg ~node ~level =
         | Some (_, id) -> Some id
         | None -> if Store.mem store store.Store.root then Some store.Store.root else None
       in
-      (match (restart_at, msg) with
-      | Some id, Msg.Route r ->
+      match restart_at with
+      | Some id ->
         Stats.tick (ctr t).Cluster.recover_rerouted;
-        send_local t pid (Msg.Route { r with node = id })
-      | Some _, _ | None, _ ->
-        (* Not locally navigable: bounce the message via the root's owner. *)
+        send_local t pid (Msg.Route { key; level; node = id; act })
+      | None ->
+        (* Not locally navigable: bounce the route via the root's owner. *)
         Stats.tick (ctr t).Cluster.recover_via_root;
         let dst =
           match hint_of t pid store.Store.root with Some m -> m | None -> 0
         in
-        let msg =
-          match msg with
-          | Msg.Route r -> Msg.Route { r with node = store.Store.root }
-          | other -> other
-        in
-        send t ~src:pid ~dst msg))
+        send t ~src:pid ~dst
+          (Msg.Route { key; level; node = store.Store.root; act })
+    end
 
 let start_route t ~origin msg =
   let store = Cluster.store t.cl origin in
@@ -110,6 +104,9 @@ module Core = Kernel_core.Make (struct
   let chase_left = true
   let parent_hints = true
   let versioned_splits = true
+
+  (* Weak: the Add_child can arrive after the child migrated. *)
+  let learn_child = Store.learn_if_absent
   let authority pid (_ : Store.rcopy) = pid
   let forward = forward
   let start_route = start_route
@@ -131,42 +128,6 @@ let rec maybe_split t pid (copy : Store.rcopy) =
 
 (* ------------------------------------------------------------------ *)
 (* Performing actions                                                  *)
-
-let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
-  let n = copy.Store.node in
-  match u with
-  | Msg.Upsert _ | Msg.Remove _ -> Kernel_core.apply_data n key u
-  | Msg.Add_child { child; child_members } ->
-    Node.add_entry n key (Node.Child child);
-    (* weak: the Add_child can arrive after the child migrated *)
-    Store.learn_if_absent (Cluster.store t.cl pid) child child_members;
-    None
-  | Msg.Drop_child { child; fallback; fallback_pid } -> begin
-    (* dE-tree: retire a freed leaf's parent entry.  The entry is found
-       by value (its key can be the bootstrap sentinel); a first entry is
-       the node's floor and is repointed to the absorber instead. *)
-    let entry =
-      Entries.fold
-        (fun k p acc ->
-          match p with
-          | Node.Child c when c = child -> Some k
-          | Node.Child _ | Node.Data _ -> acc)
-        n.Node.entries None
-    in
-    (match entry with
-    | Some k ->
-      let is_first =
-        match Entries.min_binding n.Node.entries with
-        | Some (k0, _) -> k0 = k
-        | None -> false
-      in
-      if is_first then Node.add_entry n k (Node.Child fallback)
-      else Node.remove_entry n k;
-      Store.learn_if_absent (Cluster.store t.cl pid) fallback [ fallback_pid ];
-      Stats.tick (ctr t).Cluster.reclaim_dropped
-    | None -> Stats.tick (ctr t).Cluster.reclaim_drop_stale);
-    None
-  end
 
 let which_to_action : link_tag -> _ = function
   | `Left -> `Left
@@ -252,14 +213,10 @@ let maybe_reclaim t pid (copy : Store.rcopy) =
 
 let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
   match act with
-  | Msg.Search _ | Msg.Scan _ -> Core.read t pid copy ~key ~act
+  | Msg.Search _ | Msg.Scan _ ->
+    invalid_arg "Mobile.perform: reads are answered by the core"
   | Msg.Update { uid; u } ->
-    let reply = apply_update t pid copy key u in
-    Cluster.hist_record t.cl ~node:copy.Store.node.Node.id ~pid
-      ~mode:Action.Initial ~uid (Kernel_core.action_kind key u);
-    (match reply with
-    | Some (op, result) -> Kernel_core.reply_op t.cl ~src:pid op result
-    | None -> ());
+    Core.apply_initial t pid copy ~key ~uid ~u;
     maybe_split t pid copy;
     (match u with
     | Msg.Remove _ -> maybe_reclaim t pid copy
@@ -347,25 +304,17 @@ let leaf_counts t = Kernel_core.leaf_counts t.cl
 (* ------------------------------------------------------------------ *)
 (* Message handler                                                     *)
 
-let handle_route t pid ~key ~level ~node ~act =
-  match Store.find (Cluster.store t.cl pid) node with
-  | None -> recover t pid (Msg.Route { key; level; node; act }) ~node ~level
-  | Some copy ->
-    if Core.navigate t pid copy ~key ~level ~act then perform t pid copy ~key ~act
-
 let handle t pid ~src:_ msg =
   match msg with
   (* dbflow: class lazy -- single-copy nodes: routing needs no copy coordination, only forwarding (§4.2) *)
-  | Msg.Route { key; level; node; act } -> handle_route t pid ~key ~level ~node ~act
+  | Msg.Route { key; level; node; act } ->
+    Core.handle_route t pid ~key ~level ~node ~act ~perform ~miss:recover
   (* dbflow: class lazy -- completion funnel at the origin, independent of any copy's role *)
   | Msg.Op_done { op; result } -> Cluster.op_complete t.cl ~op ~result
   (* dbflow: class lazy -- a moved node installs wholesale; forwarding addresses cover the race (§4.2) *)
   | Msg.Migrate_install { snap; _ } -> handle_migrate_install t pid ~snap
   (* dbflow: class lazy -- root adoption: processors may learn the new root in any order (§4.3) *)
-  | Msg.New_root { snap; members } ->
-    let store = Cluster.store t.cl pid in
-    Store.learn store snap.Msg.s_id members;
-    store.Store.root <- snap.Msg.s_id
+  | Msg.New_root { snap; members } -> Core.adopt_root t pid msg ~snap ~members
   | Msg.Batch _ | Msg.Relay_update _ | Msg.Split_start _ | Msg.Split_ack _
   | Msg.Split_done _ | Msg.Eager_update _ | Msg.Eager_split _ | Msg.Eager_ack _
   | Msg.Join_request _ | Msg.Join_copy _ | Msg.Relay_member _

@@ -134,8 +134,6 @@ let mean_latency t kind =
   | l ->
     float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
 
-let max_latency t kind = List.fold_left max 0 (latencies t kind)
-
 let latency_percentile t kind p =
   if p < 0.0 || p > 1.0 then invalid_arg "Opstate.latency_percentile";
   match List.sort compare (latencies t kind) with

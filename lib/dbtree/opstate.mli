@@ -60,8 +60,6 @@ val mean_latency : t -> kind -> float
 (** Mean completion latency (simulated ticks) over completed operations of
     this kind. *)
 
-val max_latency : t -> kind -> int
-
 val latency_percentile : t -> kind -> float -> float
 (** [latency_percentile t kind p] is the p-th percentile (p in [0,1]) of
     completion latency for operations of [kind], computed by the

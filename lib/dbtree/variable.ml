@@ -31,31 +31,15 @@ let forward t pid ~authority msg next =
   if Store.mem store next then send_local t pid msg
   else
     match Store.members_opt store next with
-    | Some members when List.exists (fun m -> m <> pid) members ->
-      let members = List.filter (fun m -> m <> pid) members in
-      send t ~src:pid ~dst:(Kernel_core.choose_member t.cl members) msg
+    | Some members when Kernel_core.has_other pid members ->
+      send t ~src:pid
+        ~dst:(Kernel_core.choose_member t.cl (Kernel_core.others pid members))
+        msg
     | Some _ | None ->
       Kernel_core.unknown_location t.cl pid ~name:"Variable" ~authority msg
 
 (* The root is replicated everywhere: every route starts locally. *)
 let start_route t ~origin msg = send_local t origin msg
-
-let apply_update t pid (copy : Store.rcopy) key (u : Msg.update) =
-  let n = copy.Store.node in
-  let store = Cluster.store t.cl pid in
-  let reply =
-    match u with
-    | Msg.Upsert _ | Msg.Remove _ -> Kernel_core.apply_data n key u
-    | Msg.Add_child { child; child_members } ->
-      Node.add_entry n key (Node.Child child);
-      (* weak: a relayed Add_child can arrive after the child migrated *)
-      Store.learn_if_absent store child child_members;
-      None
-    | Msg.Drop_child _ ->
-      Fmt.failwith "Variable: leaf reclamation is a mobile-protocol extension"
-  in
-  Store.wrote store n.Node.id;
-  reply
 
 let join_version_of (copy : Store.rcopy) m =
   match List.assoc_opt m copy.Store.join_versions with
@@ -113,6 +97,9 @@ module Core = Kernel_core.Make (struct
   let chase_left = true
   let parent_hints = false
   let versioned_splits = true
+
+  (* Weak: a relayed Add_child can arrive after the child migrated. *)
+  let learn_child = Store.learn_if_absent
   let authority _ (copy : Store.rcopy) = copy.Store.pc
   let forward = forward
   let start_route = start_route
@@ -120,7 +107,7 @@ module Core = Kernel_core.Make (struct
   (* The root is replicated everywhere, with the growing processor as
      its PC. *)
   let root_members t pid =
-    pid :: List.filter (fun m -> m <> pid) (List.init (procs t) Fun.id)
+    pid :: Kernel_core.others pid (List.init (procs t) Fun.id)
 
   let sibling_members = sibling_members
 end)
@@ -173,7 +160,7 @@ let perform_relink t pid (copy : Store.rcopy) ~uid ~which ~target ~target_pid
       ~effective ~version ~uid
       (Action.Link_change
          { which = (which :> [ `Left | `Right | `Child of int ]); target }));
-  if (not relayed) && List.exists (fun m -> m <> pid) copy.Store.members then
+  if (not relayed) && Kernel_core.has_other pid copy.Store.members then
     List.iter
       (fun m ->
         if m <> pid then
@@ -194,35 +181,16 @@ let perform_relink t pid (copy : Store.rcopy) ~uid ~which ~target ~target_pid
 
 let perform t pid (copy : Store.rcopy) ~key ~(act : Msg.routed) =
   match act with
-  | Msg.Search _ | Msg.Scan _ -> Core.read t pid copy ~key ~act
   | Msg.Update { uid; u } ->
-    let n = copy.Store.node in
-    let version = n.Node.version in
-    let reply = apply_update t pid copy key u in
-    Cluster.hist_record t.cl ~node:n.Node.id ~pid ~mode:Action.Initial ~uid
-      (Kernel_core.action_kind key u);
-    (match reply with
-    | Some (op, result) -> Kernel_core.reply_op t.cl ~src:pid op result
-    | None -> ());
-    List.iter
-      (fun m ->
-        if m <> pid then
-          send t ~src:pid ~dst:m
-            (Msg.Relay_update
-               {
-                 uid;
-                 node = n.Node.id;
-                 key;
-                 u = Kernel_core.silence u;
-                 version;
-                 sender = pid;
-               }))
-      copy.Store.members;
+    Core.apply_initial t pid copy ~key ~uid ~u;
+    Core.relay_initial t pid copy ~key ~uid ~u ~relay:send;
     maybe_split t pid copy
   | Msg.Relink { uid; which; target; target_pid; version; relayed } ->
     perform_relink t pid copy ~uid ~which ~target ~target_pid ~version ~relayed
   | Msg.Absorb _ ->
     Fmt.failwith "Variable: leaf reclamation is a mobile-protocol extension"
+  | Msg.Search _ | Msg.Scan _ ->
+    invalid_arg "Variable.perform: reads are answered by the core"
 
 (* ------------------------------------------------------------------ *)
 (* Migration, join / unjoin                                            *)
@@ -263,7 +231,7 @@ let do_unjoin t pid (acopy : Store.rcopy) =
   Store.remove store node;
   Store.depart store node;
   Cluster.hist_retire t.cl ~node ~pid;
-  Store.learn store node (List.filter (fun m -> m <> pid) acopy.Store.members);
+  Store.learn store node (Kernel_core.others pid acopy.Store.members);
   send t ~src:pid ~dst:acopy.Store.pc (Msg.Unjoin_request { node; pid })
 
 let do_migrate t ~node ~to_pid =
@@ -317,38 +285,28 @@ let handle_migrate_install t pid ~snap ~ancestors =
 (* ------------------------------------------------------------------ *)
 (* Message handler                                                     *)
 
-let handle_route t pid ~key ~level ~node ~act =
+(* A route for a node with no copy here: a departed copy restarts at
+   the local root, then a forwarding address, then a known member, and
+   otherwise the navigation restarts from the local root (stale hints
+   repair themselves via the child link-changes; the PC-authority
+   fallback covers the rest). *)
+let route_miss t pid ~key ~level ~node ~act =
   let store = Cluster.store t.cl pid in
-  match Store.find store node with
-  | None ->
-    let msg = Msg.Route { key; level; node; act } in
-    if Hashtbl.mem store.Store.departed node then begin
-      Stats.tick (ctr t).Cluster.recover_departed;
-      send_local t pid (Msg.Route { key; level; node = store.Store.root; act })
-    end
-    else (
-      match Hashtbl.find_opt store.Store.forwarding node with
-      | Some fwd ->
-        Stats.tick (ctr t).Cluster.recover_forwarded;
-        send t ~src:pid ~dst:fwd msg
-      | None -> (
-        match Store.members_opt store node with
-        | Some members when List.exists (fun m -> m <> pid) members ->
-          Stats.tick (ctr t).Cluster.recover_hinted;
-          send t ~src:pid
-            ~dst:
-              (Kernel_core.choose_member t.cl
-                 (List.filter (fun m -> m <> pid) members))
-            msg
-        | Some _ | None ->
-          (* A routed action carries its key: restart the navigation from
-             the local root (stale hints repair themselves via the child
-             link-changes; the PC-authority fallback covers the rest). *)
-          Stats.tick (ctr t).Cluster.recover_restart;
-          send_local t pid
-            (Msg.Route { key; level; node = store.Store.root; act })))
-  | Some copy ->
-    if Core.navigate t pid copy ~key ~level ~act then perform t pid copy ~key ~act
+  let msg = Msg.Route { key; level; node; act } in
+  if Hashtbl.mem store.Store.departed node then begin
+    Stats.tick (ctr t).Cluster.recover_departed;
+    send_local t pid (Msg.Route { key; level; node = store.Store.root; act })
+  end
+  else
+    match Hashtbl.find_opt store.Store.forwarding node with
+    | Some fwd ->
+      Stats.tick (ctr t).Cluster.recover_forwarded;
+      send t ~src:pid ~dst:fwd msg
+    | None ->
+      if not (Kernel_core.pass_to_member t.cl pid msg ~node) then begin
+        Stats.tick (ctr t).Cluster.recover_restart;
+        send_local t pid (Msg.Route { key; level; node = store.Store.root; act })
+      end
 
 let handle_relay t pid ~uid ~node ~key ~u ~version ~sender =
   let store = Cluster.store t.cl pid in
@@ -363,13 +321,7 @@ let handle_relay t pid ~uid ~node ~key ~u ~version ~sender =
     Cluster.touch t.cl ~node;
     if pid = copy.Store.pc then
       catchup t pid copy ~uid ~key ~u ~version ~sender;
-    if Node.in_range copy.Store.node key then begin
-      ignore (apply_update t pid copy key u);
-      Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed ~uid
-        (Kernel_core.action_kind key u);
-      Stats.tick (ctr t).Cluster.relay_applied;
-      maybe_split t pid copy
-    end
+    if Core.apply_relayed t pid copy ~key ~uid ~u then maybe_split t pid copy
     else begin
       Cluster.hist_record t.cl ~node ~pid ~mode:Action.Relayed
         ~effective:false ~uid (Kernel_core.action_kind key u);
@@ -532,7 +484,8 @@ let handle_unjoin_request t pid ~node ~who =
 let handle t pid ~src:_ msg =
   match msg with
   (* dbflow: class semi -- routing may park on the owning copy and updates seek the authority copy (§5) *)
-  | Msg.Route { key; level; node; act } -> handle_route t pid ~key ~level ~node ~act
+  | Msg.Route { key; level; node; act } ->
+    Core.handle_route t pid ~key ~level ~node ~act ~perform ~miss:route_miss
   (* dbflow: class lazy -- completion funnel at the origin, independent of any copy's role *)
   | Msg.Op_done { op; result } -> Cluster.op_complete t.cl ~op ~result
   (* dbflow: class semi -- relayed updates are version-ordered per node against membership changes (§5.1) *)
@@ -563,16 +516,7 @@ let handle t pid ~src:_ msg =
       Core.apply_remote_split t pid copy ~uid ~sep ~sibling ~sibling_members
   end
   (* dbflow: class lazy -- root adoption: copies may learn the new root in any order (§4.3) *)
-  | Msg.New_root { snap; members } -> begin
-    let store = Cluster.store t.cl pid in
-    match Cluster.pc_of_members members with
-    | Error Cluster.Empty_members ->
-      Cluster.park ~no_members:true t.cl ~pid ~node:snap.Msg.s_id msg
-    | Ok pc ->
-      Store.learn store snap.Msg.s_id members;
-      Kernel_core.install_snapshot t.cl pid snap ~pc ~members;
-      Store.set_root store snap.Msg.s_id
-  end
+  | Msg.New_root { snap; members } -> Core.adopt_root t pid msg ~snap ~members
   (* dbflow: class semi -- migration install is coordinated by the sending owner (§5.2) *)
   | Msg.Migrate_install { snap; ancestors; from_pid = _ } ->
     handle_migrate_install t pid ~snap ~ancestors

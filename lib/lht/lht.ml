@@ -180,10 +180,6 @@ type counters = {
   c_op_chased : Stats.counter;
   c_dir_acks : Stats.counter;
   c_dir_double : Stats.counter;
-  (* Per-kind completion-latency histograms (log-bucketed). *)
-  c_lat_search : Stats.hist;
-  c_lat_insert : Stats.hist;
-  c_lat_remove : Stats.hist;
 }
 
 let make_counters stats =
@@ -198,9 +194,6 @@ let make_counters stats =
     c_op_chased = c "op.chased";
     c_dir_acks = c "dir.acks";
     c_dir_double = c "dir.double";
-    c_lat_search = Stats.hist stats "latency.search";
-    c_lat_insert = Stats.hist stats "latency.insert";
-    c_lat_remove = Stats.hist stats "latency.remove";
   }
 
 type t = {
@@ -549,12 +542,6 @@ let handle t pid ~src msg =
       if r.op_result <> None then
         Fmt.failwith "Lht: operation %d completed twice" op;
       let lat = Sim.now t.sim - r.op_issued_at in
-      Stats.hist_observe
-        (match r.op_kind with
-        | K_search -> t.ctr.c_lat_search
-        | K_insert _ -> t.ctr.c_lat_insert
-        | K_remove -> t.ctr.c_lat_remove)
-        lat;
       if Obs.on t.obs then
         ignore
           (Obs.emit t.obs ~time:(Sim.now t.sim) ~pid ~op

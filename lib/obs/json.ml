@@ -1,7 +1,9 @@
 (* Minimal JSON reader for the exporter's self-check.  The repo
    deliberately has no JSON dependency; this recursive-descent parser is
    enough to validate what Export writes (and what CI feeds back in).
-   It accepts standard JSON; numbers are parsed as floats. *)
+   It accepts standard JSON only — raw control characters inside strings
+   and [\u] escapes that are not four hex digits are rejected — and
+   parses numbers as floats. *)
 
 type t =
   | Null
@@ -44,6 +46,10 @@ let literal st word v =
     v)
   else fail "invalid literal at %d" st.pos
 
+let is_hex = function
+  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+  | _ -> false
+
 let parse_string st =
   expect st '"';
   let buf = Buffer.create 16 in
@@ -66,10 +72,11 @@ let parse_string st =
           if st.pos + 4 > String.length st.src then
             fail "truncated \\u escape at %d" st.pos;
           let hex = String.sub st.src st.pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with _ -> fail "bad \\u escape at %d" st.pos
-          in
+          (* Exactly four hex digits: [int_of_string] alone would also
+             take OCaml's digit separators ("1_23"). *)
+          if not (String.for_all is_hex hex) then
+            fail "bad \\u escape at %d" st.pos;
+          let code = int_of_string ("0x" ^ hex) in
           st.pos <- st.pos + 4;
           (* Encode the code point as UTF-8; surrogates are kept as-is
              bytes-wise, which is fine for validation purposes. *)
@@ -90,6 +97,8 @@ let parse_string st =
     | Some '\\' ->
       escape ();
       go ()
+    | Some c when Char.code c < 0x20 ->
+      fail "raw control character 0x%02x in string at %d" (Char.code c) st.pos
     | Some c ->
       st.pos <- st.pos + 1;
       Buffer.add_char buf c;

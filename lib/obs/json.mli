@@ -1,7 +1,9 @@
 (** Minimal JSON reader used to validate exported traces.  The repo has
     no JSON dependency by design; this is just enough standard JSON for
-    {!Export.validate} and the [trace-check] CLI.  Numbers parse as
-    floats. *)
+    {!Export.validate} and the [trace-check] CLI.  It is strict where
+    validation needs it: raw control characters inside strings and [\u]
+    escapes that are not four hex digits are parse errors.  Numbers
+    parse as floats. *)
 
 type t =
   | Null

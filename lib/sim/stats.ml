@@ -82,12 +82,8 @@ let hist_observe h v =
   h.buckets.(i) <- h.buckets.(i) + 1
 
 let hist_count h = h.h_count
-let hist_sum h = h.h_sum
 let hist_min h = if h.h_count = 0 then 0 else h.h_min
 let hist_max h = h.h_max
-
-let hist_mean h =
-  if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
 
 (* Nearest-rank percentile over bucket lower bounds, clamped into the
    exact [min, max] so p0/p100 are not distorted by bucket rounding. *)
@@ -146,11 +142,6 @@ let counters t =
    once and reads the refs directly on every scrape. *)
 let counter_handles t = sorted_bindings t.counters
 
-let hists t =
-  sorted_bindings t.hists |> List.filter (fun (_, h) -> h.h_count > 0)
-
-let summaries t = List.map (fun (k, h) -> (k, hist_to_summary h)) (hists t)
-
 let get_prefix t p =
   let plen = String.length p in
   List.fold_left
@@ -177,14 +168,18 @@ let reset t =
     t.hists
 
 let pp ppf t =
+  let hists =
+    List.filter (fun (_, h) -> h.h_count > 0) (sorted_bindings t.hists)
+  in
   List.iter (fun (k, v) -> Fmt.pf ppf "%s = %d@." k v) (counters t);
   List.iter
-    (fun (k, s) ->
+    (fun (k, h) ->
+      let s = hist_to_summary h in
       Fmt.pf ppf "%s: n=%d mean=%.2f min=%.2f max=%.2f@." k s.count (mean s)
         s.min s.max)
-    (summaries t);
+    hists;
   List.iter
     (fun (k, h) ->
       Fmt.pf ppf "%s: p50=%d p90=%d p99=%d@." k (hist_percentile h 50.0)
         (hist_percentile h 90.0) (hist_percentile h 99.0))
-    (hists t)
+    hists

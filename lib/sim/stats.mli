@@ -63,14 +63,12 @@ type hist
 val hist : t -> string -> hist
 (** Interned handle for histogram [name], created empty if absent.
     Repeated calls return the same histogram.  An empty histogram stays
-    invisible to {!hists}/{!summaries}/{!pp}. *)
+    invisible to {!summary}/{!pp}. *)
 
 val hist_observe : hist -> int -> unit
 (** Record one sample (negative values clamp to 0). *)
 
 val hist_count : hist -> int
-val hist_sum : hist -> float
-val hist_mean : hist -> float
 
 val hist_min : hist -> int
 (** Exact (not bucketed); 0 when empty. *)
@@ -91,9 +89,6 @@ val hist_percentile : hist -> float -> int
     [test/test_telemetry.ml] pins their divergence to at most one
     log-bucket. *)
 
-val hists : t -> (string * hist) list
-(** All non-empty histograms, sorted by name. *)
-
 val sorted_bindings : ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings of any hash table, sorted by key (polymorphic compare).
     This is the sanctioned deterministic replacement for
@@ -109,9 +104,6 @@ val counter_handles : t -> (string * counter) list
     name.  For telemetry registration: the scrape path reads the refs
     directly, so handles interned after registration need another
     registration pass by the owner. *)
-
-val summaries : t -> (string * summary) list
-(** The {!summary} of each non-empty {!hist}, sorted by name. *)
 
 val get_prefix : t -> string -> int
 (** [get_prefix t p] sums every counter whose name starts with [p]. *)

@@ -351,8 +351,8 @@ let test_sarif_well_formed () =
   Format.pp_print_flush ppf ();
   let module J = Dbtree_obs.Json in
   let text = String.trim (Buffer.contents buf) in
-  (* JSON forbids raw control characters inside strings; the lenient
-     parser below would accept them, so check the bytes directly. *)
+  (* JSON forbids raw control characters inside strings.  [Json.parse]
+     rejects them too; the byte check names the fault directly. *)
   Alcotest.(check bool)
     "no raw control bytes" true
     (String.for_all (fun c -> Char.code c >= 0x20) text);

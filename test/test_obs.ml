@@ -87,8 +87,8 @@ let test_export_deterministic () =
 
 let test_tracing_is_free () =
   (* Tracing must not schedule events, draw randomness, or perturb any
-     statistic: the full stats rendering (counters, summaries, latency
-     histograms) is byte-identical with tracing on and off. *)
+     statistic: the full stats rendering (counters and histograms) is
+     byte-identical with tracing on and off. *)
   let off = run_e3_style ~trace:false () in
   let on = run_e3_style ~trace:true () in
   Alcotest.(check int) "off-path records nothing" 0 (Obs.length off.Cluster.obs);
@@ -209,7 +209,24 @@ let test_validate_rejects_garbage () =
     "unknown phase rejected" true
     (Result.is_error
        (Export.validate
-          "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"Z\",\"pid\":0,\"tid\":0,\"ts\":1}]}"))
+          "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"Z\",\"pid\":0,\"tid\":0,\"ts\":1}]}"));
+  (* One event with a control character in its name, spelled three
+     ways: as a four-digit [\u] escape (valid), as the raw byte (JSON
+     requires it escaped) and as a [\u] escape that is not four hex
+     digits. *)
+  let event name =
+    "{\"traceEvents\":[{\"name\":\"" ^ name
+    ^ "\",\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":1}]}"
+  in
+  Alcotest.(check bool)
+    "well-formed event accepted" true
+    (Result.is_ok (Export.validate (event "a\\u0001b")));
+  Alcotest.(check bool)
+    "raw control byte rejected" true
+    (Result.is_error (Export.validate (event "a\001b")));
+  Alcotest.(check bool)
+    "non-hex \\u escape rejected" true
+    (Result.is_error (Export.validate (event "a\\u1_23b")))
 
 (* ---------------------------------------------------------------- *)
 (* The force switch across domains: the race this PR fixed.  Forcing

@@ -205,6 +205,43 @@ let test_range_scan () =
   Variable.run t;
   List.iter (fun (op, lo, hi) -> Scenario.check_scan cl ~op ~lo ~hi) ops
 
+(* Root adoption is monotone on level.  Once the root has grown two
+   levels, a late New_root carrying the bootstrap root's snapshot reaches
+   pid 1: pid 1 must keep the higher root, and the cluster must still
+   verify.  Variable and Fixed (the second input) both hold a root copy
+   on every processor, so the level comparison decides at pid 1. *)
+let check_late_lower_root label cl (api : Driver.api) =
+  let old_root = (Cluster.store cl 1).Store.root in
+  for k = 1 to 300 do
+    ignore (api.Driver.insert ~origin:(k mod 4) (k * 131) (string_of_int k))
+  done;
+  Cluster.run cl;
+  let store = Cluster.store cl 1 in
+  let root = store.Store.root in
+  let level id = (Store.get store id).Store.node.Dbtree_blink.Node.level in
+  Alcotest.(check bool)
+    (label ^ ": root grew two levels") true
+    (level root >= level old_root + 2);
+  let stale = Store.get store old_root in
+  Cluster.send cl ~src:0 ~dst:1
+    (Msg.New_root
+       {
+         snap = Msg.snapshot_of_node stale.Store.node;
+         members = stale.Store.members;
+       });
+  Cluster.run cl;
+  Alcotest.(check int)
+    (label ^ ": pid 1 keeps the higher root") root (Cluster.store cl 1).Store.root;
+  Scenario.check_verified label (Verify.check cl)
+
+let test_late_lower_root () =
+  let t = Variable.create (mk ()) in
+  check_late_lower_root "variable" (Variable.cluster t) (Variable.api t);
+  let fixed =
+    Fixed.create (Config.make ~procs:4 ~capacity:4 ~seed:42 ~key_space:50_000 ())
+  in
+  check_late_lower_root "fixed" (Fixed.cluster fixed) (Driver.fixed_api fixed)
+
 let prop_random_variable_verifies =
   QCheck.Test.make ~name:"random variable clusters verify" ~count:15
     QCheck.(
@@ -237,5 +274,7 @@ let suite =
     Alcotest.test_case "membership metadata consistent" `Quick
       test_membership_metadata_consistent;
     Alcotest.test_case "range scan under balancing" `Quick test_range_scan;
+    Alcotest.test_case "late lower New_root keeps the root" `Quick
+      test_late_lower_root;
     QCheck_alcotest.to_alcotest prop_random_variable_verifies;
   ]
